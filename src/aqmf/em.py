@@ -20,24 +20,25 @@ from .types import FactorPair, MaskedMatrix
 from .wl1 import WL1Options, solve_wl1
 
 
+LAMBDA_MAX = 1e6
+ETA_EPSILON = 1e-12
+INNER_OPTIONS = WL1Options(max_sweeps=10, objective_tolerance=1e-6)
+
+
 @dataclass(frozen=True)
 class FitOptions:
     """Knobs of :func:`fit`.
 
     ``rank`` is the factorization rank and is required.  ``components`` is
-    the number of noise components before pruning.  Convergence is declared
-    when the Frobenius norm of U changes by less than
-    ``convergence_epsilon`` between iterations.
+    the number of noise components before pruning.  ``max_iterations``
+    bounds the outer EM iterations.  The rate cap, the asymmetry cut-off and
+    the inner solver settings are the module constants ``LAMBDA_MAX``,
+    ``ETA_EPSILON`` and ``INNER_OPTIONS``.
     """
 
     rank: int
     components: int = 4
     max_iterations: int = 100
-    convergence_epsilon: float = 1e-50
-    lambda_max: float = 1e6
-    eta_epsilon: float = 1e-12
-    inner_sweeps: int = 10
-    inner_tolerance: float = 1e-6
 
     def __post_init__(self):
         if self.rank < 1:
@@ -46,23 +47,15 @@ class FitOptions:
             raise ValueError("components must be at least 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not self.convergence_epsilon > 0:
-            raise ValueError("convergence_epsilon must be positive")
-        if not self.lambda_max > 0:
-            raise ValueError("lambda_max must be positive")
-        if not self.eta_epsilon > 0:
-            raise ValueError("eta_epsilon must be positive")
-        if self.inner_sweeps < 1:
-            raise ValueError("inner_sweeps must be at least 1")
-        if not self.inner_tolerance > 0:
-            raise ValueError("inner_tolerance must be positive")
 
 
 @dataclass
 class FitReport:
     """What happened during a fit: iteration count, log-likelihood trace of
     the observed data after each iteration, surviving component count,
-    whether the norm-change test fired, and the seed that produced it all."""
+    whether the fit stopped at an exact fixed point of ||U||_F (``converged``;
+    False means the iteration budget ran out) and the seed that produced it
+    all."""
 
     iterations: int
     loglik_trace: list = field(default_factory=list)
@@ -85,11 +78,11 @@ def init_factors(X: MaskedMatrix, rank: int, rng: np.random.Generator) -> Factor
     xi standard normal and c = sqrt(med / rank), where med is the median
     absolute observed value (floored at 1e-8).  U is drawn before V.
     """
-    if rank < 1:
-        raise ValueError("rank must be at least 1")
+    m, n = X.shape
+    if not 1 <= rank <= min(m, n):
+        raise ValueError(f"rank {rank} must lie in [1, {min(m, n)}] for a {m}x{n} matrix")
     med = max(float(np.median(np.abs(X.observed_values()))), 1e-8)
     c = np.sqrt(med / rank)
-    m, n = X.shape
     u = c * (2.0 * rng.standard_normal((m, rank)) - 1.0)
     v = c * (2.0 * rng.standard_normal((n, rank)) - 1.0)
     return FactorPair(u, v)
@@ -140,36 +133,26 @@ def rho_matrix(residuals: np.ndarray, asymmetries: np.ndarray) -> np.ndarray:
     return np.where(e >= 0.0, k, 1.0 - k)
 
 
-def update_lambda(
-    gamma: np.ndarray,
-    residuals: np.ndarray,
-    rho: np.ndarray,
-    lambda_max: float = 1e6,
-) -> np.ndarray:
+def update_lambda(gamma: np.ndarray, residuals: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Rate update: responsibility mass over tilted absolute residual mass.
 
     A zero denominator means the component sits on perfectly fitted entries;
-    its rate is set to ``lambda_max``, which also caps every other rate.
+    its rate is set to ``LAMBDA_MAX``, which also caps every other rate.
     """
     n_s = gamma.sum(axis=0)
     den = (rho * gamma * np.abs(residuals)[:, None]).sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         rates = np.where(den > 0, n_s / den, np.inf)
-    return np.minimum(rates, lambda_max)
+    return np.minimum(rates, LAMBDA_MAX)
 
 
-def update_kappa(
-    gamma: np.ndarray,
-    residuals: np.ndarray,
-    rates: np.ndarray,
-    eta_epsilon: float = 1e-12,
-) -> np.ndarray:
+def update_kappa(gamma: np.ndarray, residuals: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """Asymmetry update: the unique root in (0, 1) of the stationarity
     quadratic eta * k^2 - (2 n + eta) * k + n = 0 with n the responsibility
     mass and eta = rate * sum(gamma * residual).
 
     The root is evaluated in a cancellation-free form on either sign of eta;
-    |eta| below ``eta_epsilon`` falls back to the symmetric value 1/2.
+    |eta| below ``ETA_EPSILON`` falls back to the symmetric value 1/2.
     """
     n_s = gamma.sum(axis=0)
     eta = rates * (gamma * np.asarray(residuals, dtype=float)[:, None]).sum(axis=0)
@@ -178,7 +161,7 @@ def update_kappa(
         pos = 2.0 * n_s / (2.0 * n_s + eta + disc)
         neg = (disc - eta) / ((disc - eta) + 2.0 * n_s)
     kappa = np.where(eta > 0, pos, neg)
-    return np.where(np.abs(eta) < eta_epsilon, 0.5, kappa)
+    return np.where(np.abs(eta) < ETA_EPSILON, 0.5, kappa)
 
 
 def compute_weights(
@@ -222,6 +205,26 @@ def observed_loglik(X: MaskedMatrix, factors: FactorPair, model: ald.MoALModel) 
     return float(np.sum(ald.mixture_logpdf(residuals, model)))
 
 
+def _until_fixed_point(factors: FactorPair, step, max_iterations: int):
+    """Apply ``step`` to the factors until ||U||_F repeats exactly or
+    ``max_iterations`` steps have run.
+
+    This is the stopping rule of both :func:`fit` and
+    :func:`fit_l1_baseline`.  Returns the factors, the number of steps taken
+    and whether the norm repeated.
+    """
+    prev_norm = float(np.linalg.norm(factors.u))
+    steps = 0
+    while steps < max_iterations:
+        factors = step(factors)
+        steps += 1
+        norm = float(np.linalg.norm(factors.u))
+        if norm == prev_norm:
+            return factors, steps, True
+        prev_norm = norm
+    return factors, steps, False
+
+
 def fit(
     X: MaskedMatrix,
     options: FitOptions,
@@ -241,34 +244,29 @@ def fit(
     rng = np.random.default_rng(seed)
     factors = init_factors(X, options.rank, rng)
     model = init_model(options.components, rng)
-    inner = WL1Options(
-        max_sweeps=options.inner_sweeps, objective_tolerance=options.inner_tolerance
-    )
     residuals = _observed_residuals(X, factors)
     gamma = _responsibilities(residuals, model)
-    prev_norm = float(np.linalg.norm(factors.u))
     trace: list[float] = []
-    iterations = 0
-    converged = False
-    for _ in range(options.max_iterations):
+
+    def em_iteration(factors: FactorPair) -> FactorPair:
+        nonlocal model, gamma, residuals
         weights = update_pi(gamma)
         rho = rho_matrix(residuals, model.asymmetries)
-        rates = update_lambda(gamma, residuals, rho, options.lambda_max)
-        asym = update_kappa(gamma, residuals, rates, options.eta_epsilon)
+        rates = update_lambda(gamma, residuals, rho)
+        asym = update_kappa(gamma, residuals, rates)
         model = ald.MoALModel(weights, rates, asym)
         gamma = _responsibilities(residuals, model)
         W = compute_weights(X, gamma, model, residuals)
-        factors = solve_wl1(X, W, factors, inner)
+        factors = solve_wl1(X, W, factors, INNER_OPTIONS)
         residuals = _observed_residuals(X, factors)
         gamma = _responsibilities(residuals, model)
         trace.append(float(np.sum(ald.mixture_logpdf(residuals, model))))
-        iterations += 1
         model, gamma = prune_components(gamma, model)
-        norm = float(np.linalg.norm(factors.u))
-        if abs(norm - prev_norm) < options.convergence_epsilon:
-            converged = True
-            break
-        prev_norm = norm
+        return factors
+
+    factors, iterations, converged = _until_fixed_point(
+        factors, em_iteration, options.max_iterations
+    )
     report = FitReport(
         iterations=iterations,
         loglik_trace=trace,
@@ -284,27 +282,18 @@ def fit_l1_baseline(
     rank: int,
     seed: int = 0,
     max_sweeps: int = 100,
-    convergence_epsilon: float = 1e-50,
 ) -> tuple[FactorPair, BaselineReport]:
     """Plain L1 factorization: the same median sweeps with uniform weights.
 
     Shares the factor initialization of :func:`fit` (identical draws for the
-    same seed) and the same stopping rule on the norm of U, so results are
-    directly comparable against the mixture-weighted method.
+    same seed) and its stopping rule, one weighted-median sweep per step, so
+    results are directly comparable against the mixture-weighted method.
     """
     rng = np.random.default_rng(seed)
     factors = init_factors(X, rank, rng)
     W = X.mask.astype(float)
     single = WL1Options(max_sweeps=1, objective_tolerance=1e-300)
-    prev_norm = float(np.linalg.norm(factors.u))
-    sweeps = 0
-    converged = False
-    for _ in range(max_sweeps):
-        factors = solve_wl1(X, W, factors, single)
-        sweeps += 1
-        norm = float(np.linalg.norm(factors.u))
-        if abs(norm - prev_norm) < convergence_epsilon:
-            converged = True
-            break
-        prev_norm = norm
+    factors, sweeps, converged = _until_fixed_point(
+        factors, lambda f: solve_wl1(X, W, f, single), max_sweeps
+    )
     return factors, BaselineReport(sweeps=sweeps, converged=converged, seed=seed)

@@ -134,13 +134,6 @@ NoiseSpec = Union[
 ]
 
 
-def sample_noise(spec: NoiseSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``n`` scalars from the given noise spec."""
-    if n < 0:
-        raise ValueError("sample size must be nonnegative")
-    return spec.sample(n, rng)
-
-
 def gen_lowrank(m: int, n: int, rank: int, rng: np.random.Generator):
     """Exact rank-``rank`` ground truth from standard normal factors.
 
@@ -198,7 +191,7 @@ def make_instance(
     mask = gen_mask(m, n, missing_fraction, rng)
     values = truth.copy()
     if noise is not None:
-        values[mask] += sample_noise(noise, int(mask.sum()), rng)
+        values[mask] += noise.sample(int(mask.sum()), rng)
     return SyntheticInstance(
         ground_truth=truth,
         observed=MaskedMatrix(values, mask),

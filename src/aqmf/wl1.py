@@ -80,36 +80,6 @@ def _column_medians(cands: np.ndarray, wts: np.ndarray):
     return c.take(order.take(starts + pick)), total > 0
 
 
-def update_v_entry(
-    j: int, i: int, X: MaskedMatrix, weight_matrix: np.ndarray, factors: FactorPair
-) -> float:
-    """Optimal V[j, i] with every other factor entry held fixed.
-
-    Rows whose combined weight w_lj * |U[l, i]| is zero are excluded from the
-    median; if nothing remains the current value is returned unchanged.
-    """
-    U, V = factors.u, factors.v
-    col = X.values[:, j] - U @ V[j, :] + U[:, i] * V[j, i]
-    w = weight_matrix[:, j] * np.abs(U[:, i])
-    live = w > 0
-    if not live.any():
-        return float(V[j, i])
-    return weighted_median(col[live] / U[live, i], w[live])
-
-
-def update_u_entry(
-    j: int, i: int, X: MaskedMatrix, weight_matrix: np.ndarray, factors: FactorPair
-) -> float:
-    """Optimal U[j, i] with every other factor entry held fixed."""
-    U, V = factors.u, factors.v
-    row = X.values[j, :] - V @ U[j, :] + V[:, i] * U[j, i]
-    w = weight_matrix[j, :] * np.abs(V[:, i])
-    live = w > 0
-    if not live.any():
-        return float(U[j, i])
-    return weighted_median(row[live] / V[live, i], w[live])
-
-
 def wl1_objective(X: MaskedMatrix, weight_matrix: np.ndarray, factors: FactorPair) -> float:
     """Weighted L1 residual sum over observed entries."""
     resid = X.values - factors.product()

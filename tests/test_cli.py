@@ -89,6 +89,19 @@ def test_fit_bad_csv_is_validation_error(tmp_path, capsys):
     assert "row 2" in capsys.readouterr().err
 
 
+def test_rank_above_matrix_shape_exits_1(tmp_path, capsys):
+    csv = tmp_path / "small.csv"
+    write_csv_matrix(csv, MaskedMatrix.fully_observed(np.ones((5, 3))))
+    assert main(["fit", "--input", str(csv), "--rank", "7"]) == 1
+    assert "rank 7" in capsys.readouterr().err
+    image = tmp_path / "img.pgm"
+    write_pgm(image, np.full((4, 6), 0.5))
+    rc = main(["inpaint", "--image", str(image), "--mask", str(image), "--rank", "5",
+               "--output", str(tmp_path / "out.pgm")])
+    assert rc == 1
+    assert "rank 5 must lie in [1, 4] for a 4x6 matrix" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_1(capsys):
     assert main([]) == 1
     capsys.readouterr()

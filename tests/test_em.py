@@ -41,8 +41,8 @@ def test_update_lambda_caps_degenerate_component():
     gamma = np.ones((3, 1))
     resid = np.zeros(3)
     rho = np.full((3, 1), 0.5)
-    lam = em.update_lambda(gamma, resid, rho, lambda_max=1e6)
-    assert lam[0] == 1e6
+    lam = em.update_lambda(gamma, resid, rho)
+    assert lam[0] == em.LAMBDA_MAX == 1e6
 
 
 def test_update_kappa_frozen_root():
@@ -178,6 +178,17 @@ def test_init_factors_scale_floor_on_tiny_data():
     assert np.any(f.u != 0.0)
 
 
+def test_rank_above_matrix_shape_rejected():
+    X = MaskedMatrix.fully_observed(np.ones((5, 3)))
+    with pytest.raises(ValueError, match=r"rank 7 .*5x3"):
+        em.init_factors(X, 7, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="5x3"):
+        em.fit(X, FitOptions(rank=4))
+    with pytest.raises(ValueError, match="5x3"):
+        em.fit_l1_baseline(X, 4)
+    assert em.init_factors(X, 3, np.random.default_rng(0)).rank == 3
+
+
 def test_init_model_ranges():
     model = em.init_model(4, np.random.default_rng(2))
     assert model.n_components == 4
@@ -248,6 +259,19 @@ def test_baseline_runs_and_reduces_objective():
     start = em.init_factors(X, 2, rng)
     start_resid = np.abs(X.values - start.product())[X.mask].sum()
     assert resid < start_resid
+
+
+def test_fit_and_baseline_share_stopping_rule():
+    # both stop when ||U||_F repeats exactly, or when the budget runs out
+    X = make_instance(15, 10, 1, 0.0, None, seed=6).observed
+    _, _, report = em.fit(X, FitOptions(rank=1, max_iterations=20), seed=0)
+    _, base = em.fit_l1_baseline(X, 1, seed=0, max_sweeps=20)
+    assert report.converged and report.iterations < 20
+    assert base.converged and base.sweeps < 20
+    _, _, report = em.fit(X, FitOptions(rank=1, max_iterations=1), seed=0)
+    _, base = em.fit_l1_baseline(X, 1, seed=0, max_sweeps=1)
+    assert (report.iterations, report.converged) == (1, False)
+    assert (base.sweeps, base.converged) == (1, False)
 
 
 def test_fit_options_validation():

@@ -16,7 +16,6 @@ from aqmf.synth import (
     gen_lowrank,
     gen_mask,
     make_instance,
-    sample_noise,
 )
 
 
@@ -42,29 +41,29 @@ def test_gen_mask_reproducible():
 
 
 def test_gaussian_noise_moments():
-    xs = sample_noise(GaussianNoise(sigma=5.0), 200_000, np.random.default_rng(2))
+    xs = GaussianNoise(sigma=5.0).sample(200_000, np.random.default_rng(2))
     assert np.std(xs) == pytest.approx(5.0, rel=0.02)
     assert np.mean(xs) == pytest.approx(0.0, abs=0.05)
 
 
 def test_laplace_noise_distribution():
-    xs = sample_noise(LaplaceNoise(location=0.0, scale=1.5), 100_000, np.random.default_rng(3))
+    xs = LaplaceNoise(location=0.0, scale=1.5).sample(100_000, np.random.default_rng(3))
     d, p = stats.kstest(xs, stats.laplace(scale=1.5).cdf)
     assert p > 1e-4
 
 
 def test_student_t_heavy_tail():
-    xs = sample_noise(StudentTNoise(df=1), 100_000, np.random.default_rng(4))
+    xs = StudentTNoise(df=1).sample(100_000, np.random.default_rng(4))
     # Cauchy: no variance, wild outliers expected
     assert np.max(np.abs(xs)) > 1e3
-    xs2 = sample_noise(StudentTNoise(df=2), 100_000, np.random.default_rng(4))
+    xs2 = StudentTNoise(df=2).sample(100_000, np.random.default_rng(4))
     d, p = stats.kstest(xs2, stats.t(df=2).cdf)
     assert p > 1e-4
 
 
 def test_asymmetric_laplace_noise_left_mass():
-    xs = sample_noise(
-        AsymmetricLaplaceNoise(rate=1.0, asymmetry=0.7), 100_000, np.random.default_rng(5)
+    xs = AsymmetricLaplaceNoise(rate=1.0, asymmetry=0.7).sample(
+        100_000, np.random.default_rng(5)
     )
     assert np.mean(xs < 0) == pytest.approx(0.7, abs=0.01)
     assert sample_skewness(xs) < 0  # most mass below the mode -> left skew
@@ -72,7 +71,7 @@ def test_asymmetric_laplace_noise_left_mass():
 
 def test_skew_normal_noise_left_mass_and_scale():
     spec = SkewNormalNoise(sigma=3.0, asymmetry=0.7)
-    xs = sample_noise(spec, 200_000, np.random.default_rng(6))
+    xs = spec.sample(200_000, np.random.default_rng(6))
     assert np.mean(xs < 0) == pytest.approx(0.7, abs=0.01)
     d, p = stats.kstest(xs, stats.skewnorm(spec.shape, scale=3.0).cdf)
     assert p > 1e-4
@@ -86,7 +85,7 @@ def test_mixture_noise_validation_and_sampling():
             ((0.5, GaussianNoise(1.0)), (0.5, MixtureNoise(((1.0, GaussianNoise(1.0)),))))
         )
     mix = MixtureNoise(((0.8, GaussianNoise(0.001)), (0.2, GaussianNoise(100.0))))
-    xs = sample_noise(mix, 50_000, np.random.default_rng(7))
+    xs = mix.sample(50_000, np.random.default_rng(7))
     # the wide component shows up at roughly its mixing rate
     assert np.mean(np.abs(xs) > 1.0) == pytest.approx(0.2, abs=0.01)
 
