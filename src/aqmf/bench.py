@@ -10,7 +10,7 @@ the deterministic results so the result JSON is byte-stable.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -246,42 +246,14 @@ def aggregate(result: BenchmarkResult) -> list:
 def result_to_json(result: BenchmarkResult) -> dict:
     """Deterministic report payload: config, per-run records (without
     timings), and aggregates derived from those records."""
-    cfg = result.config
     records = []
     for r in result.records:
-        records.append(
-            {
-                "noise": r.noise,
-                "rank": r.rank,
-                "method": r.method,
-                "replication": r.replication,
-                "data_seed": r.data_seed,
-                "fit_seed": r.fit_seed,
-                "l1_noisy": float(r.l1_noisy),
-                "l2_noisy": float(r.l2_noisy),
-                "l1_truth": float(r.l1_truth),
-                "l2_truth": float(r.l2_truth),
-                "iterations": int(r.iterations),
-                "converged": bool(r.converged),
-                "final_components": (
-                    None if r.final_components is None else int(r.final_components)
-                ),
-            }
-        )
+        rec = asdict(r)
+        del rec["seconds"]
+        records.append(rec)
     return {
         "schema": "aqmf-benchmark/1",
-        "config": {
-            "m": cfg.m,
-            "n": cfg.n,
-            "ranks": list(cfg.ranks),
-            "replications": cfg.replications,
-            "missing_fraction": cfg.missing_fraction,
-            "noise_rows": list(cfg.noise_rows),
-            "methods": list(cfg.methods),
-            "master_seed": cfg.master_seed,
-            "components": cfg.components,
-            "max_iterations": cfg.max_iterations,
-        },
+        "config": asdict(result.config),
         "records": records,
         "aggregates": aggregate(result),
     }

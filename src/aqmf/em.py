@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import ald
 from .types import FactorPair, MaskedMatrix
@@ -106,18 +105,14 @@ def _observed_residuals(X: MaskedMatrix, factors: FactorPair) -> np.ndarray:
     return resid[X.mask]
 
 
-def _responsibilities(residuals: np.ndarray, model: ald.MoALModel) -> np.ndarray:
+def _responsibilities(
+    residuals: np.ndarray, model: ald.MoALModel, log_density: np.ndarray
+) -> np.ndarray:
+    """Posterior component responsibilities, one row per residual, given
+    ``log_density = ald.mixture_logpdf(residuals, model)``, which the caller
+    can reuse for the log-likelihood."""
     logits = ald.component_logpdfs(residuals, model) + ald._log_weights(model)[None, :]
-    return np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
-
-
-def e_step(X: MaskedMatrix, factors: FactorPair, model: ald.MoALModel) -> np.ndarray:
-    """Posterior component responsibilities, one row per observed entry.
-
-    Rows follow the order of ``X.values[X.mask]``.  Computed in the log
-    domain so very large rates cannot overflow.
-    """
-    return _responsibilities(_observed_residuals(X, factors), model)
+    return np.exp(logits - log_density[:, None])
 
 
 def update_pi(gamma: np.ndarray) -> np.ndarray:
@@ -245,7 +240,7 @@ def fit(
     factors = init_factors(X, options.rank, rng)
     model = init_model(options.components, rng)
     residuals = _observed_residuals(X, factors)
-    gamma = _responsibilities(residuals, model)
+    gamma = _responsibilities(residuals, model, ald.mixture_logpdf(residuals, model))
     trace: list[float] = []
 
     def em_iteration(factors: FactorPair) -> FactorPair:
@@ -255,12 +250,13 @@ def fit(
         rates = update_lambda(gamma, residuals, rho)
         asym = update_kappa(gamma, residuals, rates)
         model = ald.MoALModel(weights, rates, asym)
-        gamma = _responsibilities(residuals, model)
+        gamma = _responsibilities(residuals, model, ald.mixture_logpdf(residuals, model))
         W = compute_weights(X, gamma, model, residuals)
         factors = solve_wl1(X, W, factors, INNER_OPTIONS)
         residuals = _observed_residuals(X, factors)
-        gamma = _responsibilities(residuals, model)
-        trace.append(float(np.sum(ald.mixture_logpdf(residuals, model))))
+        log_density = ald.mixture_logpdf(residuals, model)
+        gamma = _responsibilities(residuals, model, log_density)
+        trace.append(float(np.sum(log_density)))
         model, gamma = prune_components(gamma, model)
         return factors
 
@@ -289,6 +285,8 @@ def fit_l1_baseline(
     same seed) and its stopping rule, one weighted-median sweep per step, so
     results are directly comparable against the mixture-weighted method.
     """
+    if max_sweeps < 1:
+        raise ValueError("max_sweeps must be at least 1")
     rng = np.random.default_rng(seed)
     factors = init_factors(X, rank, rng)
     W = X.mask.astype(float)

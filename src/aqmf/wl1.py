@@ -98,18 +98,12 @@ def _check_weight_matrix(X: MaskedMatrix, weight_matrix) -> np.ndarray:
     return W
 
 
-def _extend_trace(trace: list, running: float, deltas: np.ndarray) -> float:
-    vals = running - np.cumsum(deltas)
-    trace.extend(float(t) for t in vals)
-    return float(vals[-1]) if vals.size else running
-
-
-def _factor_pass(R, W, obs, fixed, moving, trace, running):
+def _factor_pass(R, W, fixed, moving):
     """Update every column of ``moving`` in place, ``fixed`` held constant.
 
-    ``R``, ``W`` and ``obs`` are laid out with one row per row of ``moving``
-    and one column per row of ``fixed``, so each weighted median runs over
-    one contiguous row.  Returns the updated residual and running objective.
+    ``R`` and ``W`` are laid out with one row per row of ``moving`` and one
+    column per row of ``fixed``, so each weighted median runs over one
+    contiguous row.  Returns the updated residual.
     """
     for i in range(fixed.shape[1]):
         f = fixed[:, i]
@@ -119,13 +113,9 @@ def _factor_pass(R, W, obs, fixed, moving, trace, running):
         cands = np.where(wts > 0, E / f, 0.0)
         med, live = _column_medians(cands.T, wts.T)
         new = np.where(live, med, g)
-        if trace is not None:
-            t_old = np.where(obs, W * np.abs(E - g[:, None] * f), 0.0).sum(axis=1)
-            t_new = np.where(obs, W * np.abs(E - new[:, None] * f), 0.0).sum(axis=1)
-            running = _extend_trace(trace, running, t_old - t_new)
         moving[:, i] = new
         R = E - new[:, None] * f
-    return R, running
+    return R
 
 
 def solve_wl1(
@@ -133,7 +123,6 @@ def solve_wl1(
     weight_matrix,
     factors: FactorPair,
     options: WL1Options | None = None,
-    objective_trace: list | None = None,
 ) -> FactorPair:
     """Run cyclic weighted-median sweeps from a warm start.
 
@@ -147,12 +136,12 @@ def solve_wl1(
     ``objective_tolerance`` relative to the previous value, or after
     ``max_sweeps`` sweeps.
 
-    When ``objective_trace`` is a list, the objective value after every
-    single entry update is appended to it.
-
     All per-column subproblems of one factor column are independent of each
     other, so they are solved in a single vectorized batch; results are
-    identical to updating the entries one at a time.
+    identical to updating the entries one at a time.  The test suite checks
+    this from outside: a scalar reference sweep (``tests/oracles.py``)
+    records the objective after every single entry update, and one-sweep
+    solves must reproduce its factors.
     """
     opts = options or WL1Options()
     W = _check_weight_matrix(X, weight_matrix)
@@ -168,20 +157,16 @@ def solve_wl1(
     W_T = np.ascontiguousarray(W.T)
     R = values - U @ V.T
     prev_obj = objective(R)
-    running = prev_obj
 
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(opts.max_sweeps):
             # the V pass works on n x m arrays, the U pass on m x n ones
-            R_T, running = _factor_pass(
-                np.ascontiguousarray(R.T), W_T, obs.T, U, V, objective_trace, running
-            )
-            _factor_pass(np.ascontiguousarray(R_T.T), W, obs, V, U, objective_trace, running)
+            R_T = _factor_pass(np.ascontiguousarray(R.T), W_T, U, V)
+            _factor_pass(np.ascontiguousarray(R_T.T), W, V, U)
             R = values - U @ V.T
             obj = objective(R)
             done = prev_obj - obj < opts.objective_tolerance * max(prev_obj, 1e-300)
             prev_obj = obj
-            running = obj
             if done:
                 break
     return FactorPair(U, V)

@@ -1,0 +1,63 @@
+"""Scalar reference implementations of the weighted-L1 factor updates.
+
+Shared by the unit and acceptance tests; pytest does not collect this
+module.  Every function here updates one factor entry at a time, so it is
+slow but easy to check against the definition of the objective.
+"""
+
+import numpy as np
+
+from aqmf.types import FactorPair
+from aqmf.wl1 import weighted_median, wl1_objective
+
+
+def update_v_entry(j, i, X, weight_matrix, factors):
+    """Optimal V[j, i] with every other factor entry held fixed.
+
+    Rows whose combined weight w_lj * |U[l, i]| is zero are excluded from the
+    median; if nothing remains the current value is returned unchanged.
+    """
+    U, V = factors.u, factors.v
+    col = X.values[:, j] - U @ V[j, :] + U[:, i] * V[j, i]
+    w = weight_matrix[:, j] * np.abs(U[:, i])
+    live = w > 0
+    if not live.any():
+        return float(V[j, i])
+    return weighted_median(col[live] / U[live, i], w[live])
+
+
+def update_u_entry(j, i, X, weight_matrix, factors):
+    """Optimal U[j, i] with every other factor entry held fixed."""
+    U, V = factors.u, factors.v
+    row = X.values[j, :] - V @ U[j, :] + V[:, i] * U[j, i]
+    w = weight_matrix[j, :] * np.abs(V[:, i])
+    live = w > 0
+    if not live.any():
+        return float(U[j, i])
+    return weighted_median(row[live] / V[live, i], w[live])
+
+
+def scalar_sweep(X, weight_matrix, factors):
+    """One cyclic weighted-median sweep, one scalar update at a time.
+
+    Follows the order of ``wl1.solve_wl1``: every entry of V, rank column by
+    rank column, then every entry of U the same way.  Each update is written
+    back before the next.  Returns the new factors and the objective after
+    every scalar update (V's updates first).
+    """
+    out = FactorPair(factors.u.copy(), factors.v.copy())
+    trace = []
+    for moving, update in ((out.v, update_v_entry), (out.u, update_u_entry)):
+        for i in range(out.rank):
+            for j in range(moving.shape[0]):
+                moving[j, i] = update(j, i, X, weight_matrix, out)
+                trace.append(wl1_objective(X, weight_matrix, out))
+    return out, trace
+
+
+def relative_gap(got, ref):
+    """Largest entry difference between two factor pairs, relative to the
+    largest entry of ``ref``."""
+    a = np.vstack([got.u, got.v])
+    b = np.vstack([ref.u, ref.v])
+    return float(np.abs(a - b).max() / np.abs(b).max())

@@ -32,7 +32,8 @@ from aqmf.cli import main as cli_main
 from aqmf.em import FitOptions
 from aqmf.synth import AsymmetricLaplaceNoise, make_instance
 from aqmf.types import FactorPair, MaskedMatrix
-from aqmf.wl1 import WL1Options, solve_wl1, weighted_median
+from aqmf.wl1 import WL1Options, solve_wl1, weighted_median, wl1_objective
+from oracles import relative_gap, scalar_sweep
 
 
 def _report(n: int, ok: bool, detail: str, elapsed: float) -> None:
@@ -143,9 +144,14 @@ def test_criterion_3_weighted_median_oracle():
 
 
 def test_criterion_4_inner_solver_monotone_per_update():
+    # The solver updates a whole factor column in one batch, so the per-update
+    # values come from the scalar reference sweep; each sweep of the solver
+    # must land on the reference's factors, then the next sweep starts there.
     start = time.perf_counter()
     rng = np.random.default_rng(5)
     worst = 0.0
+    worst_gap = 0.0
+    updates = 0
     for _ in range(100):
         u = rng.normal(size=(10, 2))
         v = rng.normal(size=(8, 2))
@@ -155,21 +161,26 @@ def test_criterion_4_inner_solver_monotone_per_update():
         X = MaskedMatrix(np.where(mask, data, 0.0), mask)
         W = np.where(mask, rng.uniform(0.05, 3.0, size=(10, 8)), 0.0)
         factors = FactorPair(rng.normal(size=(10, 2)), rng.normal(size=(8, 2)))
-        trace = []
-        solve_wl1(X, W, factors, WL1Options(max_sweeps=8), objective_trace=trace)
-        tr = np.asarray(trace)
-        rises = np.diff(tr) - 1e-9 * (1.0 + np.abs(tr[:-1]))
-        worst = max(worst, float(np.max(rises, initial=-np.inf)))
+        for _ in range(8):
+            ref, trace = scalar_sweep(X, W, factors)
+            tr = np.array([wl1_objective(X, W, factors), *trace])
+            rises = np.diff(tr) - 1e-9 * (1.0 + np.abs(tr[:-1]))
+            worst = max(worst, float(rises.max()))
+            updates += len(trace)
+            factors = solve_wl1(X, W, factors, WL1Options(max_sweeps=1))
+            worst_gap = max(worst_gap, relative_gap(factors, ref))
     elapsed = time.perf_counter() - start
-    ok = worst <= 0.0 and elapsed < 10.0
+    ok = worst <= 0.0 and worst_gap <= 1e-9 and elapsed < 10.0
     _report(
         4,
         ok,
-        f"objective non-increasing across every scalar update on 100 instances "
-        f"(worst rise {worst:.2e})",
+        f"objective non-increasing across {updates} scalar updates on 100 instances "
+        f"(worst rise {worst:.2e}); solver sweeps match the reference "
+        f"(worst relative gap {worst_gap:.1e})",
         elapsed,
     )
     assert worst <= 0.0
+    assert worst_gap <= 1e-9
     assert elapsed < 10.0
 
 

@@ -65,6 +65,16 @@ def test_fit_cwm_method(small_csv, tmp_path, capsys):
     assert "sweeps" in payload and "components" not in payload
 
 
+@pytest.mark.parametrize("method", ["aq", "cwm"])
+def test_fit_zero_iteration_budget_exits_1(small_csv, tmp_path, capsys, method):
+    report = tmp_path / "r.json"
+    rc = main(["fit", "--input", str(small_csv), "--rank", "2", "--method", method,
+               "--max-iters", "0", "--report", str(report)])
+    assert rc == 1
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_fit_deterministic_given_seed(small_csv, tmp_path):
     outs = []
     for name in ("a.json", "b.json"):

@@ -96,11 +96,10 @@ def test_e_step_matches_bruteforce_posterior():
     model = MoALModel(
         weights=[0.3, 0.7], rates=[1.0, 2.5], asymmetries=[0.5, 0.2]
     )
-    gamma = em.e_step(X, factors, model)
+    flat = (X.values - factors.product())[X.mask]
+    gamma = em._responsibilities(flat, model, ald.mixture_logpdf(flat, model))
     assert gamma.shape == (3, 2)  # three observed entries
     np.testing.assert_allclose(gamma.sum(axis=1), 1.0, rtol=1e-12)
-    resid = X.values - factors.product()
-    flat = resid[X.mask]
     for idx, e_val in enumerate(flat):
         dens = np.array(
             [
@@ -224,7 +223,7 @@ def test_mixture_refresh_never_decreases_loglik():
         resid = (X.values - factors.product())[X.mask]
         for _ in range(5):
             before = em.observed_loglik(X, factors, model)
-            gamma = em.e_step(X, factors, model)
+            gamma = em._responsibilities(resid, model, ald.mixture_logpdf(resid, model))
             pi = em.update_pi(gamma)
             rho = em.rho_matrix(resid, model.asymmetries)
             rates = em.update_lambda(gamma, resid, rho)
@@ -272,6 +271,13 @@ def test_fit_and_baseline_share_stopping_rule():
     _, base = em.fit_l1_baseline(X, 1, seed=0, max_sweeps=1)
     assert (report.iterations, report.converged) == (1, False)
     assert (base.sweeps, base.converged) == (1, False)
+
+
+def test_baseline_rejects_zero_sweep_budget():
+    # like FitOptions(max_iterations=0) for fit, instead of a zero-sweep result
+    X = make_instance(15, 10, 1, 0.0, None, seed=6).observed
+    with pytest.raises(ValueError, match="max_sweeps must be at least 1"):
+        em.fit_l1_baseline(X, 1, max_sweeps=0)
 
 
 def test_fit_options_validation():
