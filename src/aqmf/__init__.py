@@ -29,7 +29,7 @@ from .synth import (
     make_instance,
 )
 from .types import FactorPair, MaskedMatrix
-from .wl1 import WL1Options, solve_wl1, weighted_median, wl1_objective
+from .wl1 import solve_wl1, weighted_median, wl1_objective
 
 __version__ = "0.1.0"
 
@@ -52,7 +52,6 @@ __all__ = [
     "SkewNormalNoise",
     "StudentTNoise",
     "SyntheticInstance",
-    "WL1Options",
     "fit",
     "fit_l1_baseline",
     "l1_error",

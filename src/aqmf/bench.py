@@ -9,6 +9,7 @@ the deterministic results so the result JSON is byte-stable.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -151,18 +152,14 @@ def _run_one(inst, rank: int, method: str, fit_seed: int, cfg: BenchmarkConfig):
             rank=rank, components=cfg.components, max_iterations=cfg.max_iterations
         )
         factors, _, report = fit(inst.observed, opts, seed=fit_seed)
-        iterations = report.iterations
-        converged = report.converged
-        final_components = report.final_components
+        iterations, final_components = report.iterations, report.final_components
     else:
         factors, report = fit_l1_baseline(
             inst.observed, rank, seed=fit_seed, max_sweeps=cfg.max_iterations
         )
-        iterations = report.sweeps
-        converged = report.converged
-        final_components = None
+        iterations, final_components = report.sweeps, None
     seconds = time.perf_counter() - start
-    return factors, iterations, converged, final_components, seconds
+    return factors, iterations, report.converged, final_components, seconds
 
 
 def run_benchmark(cfg: BenchmarkConfig, progress=None) -> BenchmarkResult:
@@ -207,54 +204,44 @@ def run_benchmark(cfg: BenchmarkConfig, progress=None) -> BenchmarkResult:
     return result
 
 
-def _cell_records(result: BenchmarkResult, noise: str, rank: int, method: str):
-    recs = [
-        r
-        for r in result.records
-        if r.noise == noise and r.rank == rank and r.method == method
-    ]
-    return sorted(recs, key=lambda r: r.replication)
+def _cells(result: BenchmarkResult):
+    """Yield ``(cell, records)`` for every cell that has records, in grid
+    order.  ``cell`` is a fresh ``{"noise", "rank", "method"}`` dict and the
+    records are sorted by replication, so every sum runs in that order."""
+    groups = {}
+    for r in result.records:
+        groups.setdefault((r.noise, r.rank, r.method), []).append(r)
+    cfg = result.config
+    for key in itertools.product(cfg.noise_rows, cfg.ranks, cfg.methods):
+        if key in groups:
+            recs = sorted(groups[key], key=lambda r: r.replication)
+            yield dict(zip(("noise", "rank", "method"), key)), recs
 
 
 def aggregate(result: BenchmarkResult) -> list:
     """Per-cell summary rows (means, medians, convergence rate), computed
     directly from the records in replication order."""
     out = []
-    for noise in result.config.noise_rows:
-        for rank in result.config.ranks:
-            for method in result.config.methods:
-                recs = _cell_records(result, noise, rank, method)
-                if not recs:
-                    continue
-                cell = {
-                    "noise": noise,
-                    "rank": rank,
-                    "method": method,
-                    "replications": len(recs),
-                }
-                for key in ("l1_noisy", "l2_noisy", "l1_truth", "l2_truth"):
-                    vals = np.array([getattr(r, key) for r in recs])
-                    cell[f"mean_{key}"] = float(vals.mean())
-                    cell[f"median_{key}"] = float(np.median(vals))
-                cell["convergence_rate"] = float(
-                    np.mean([1.0 if r.converged else 0.0 for r in recs])
-                )
-                out.append(cell)
+    for cell, recs in _cells(result):
+        cell["replications"] = len(recs)
+        for key in ("l1_noisy", "l2_noisy", "l1_truth", "l2_truth"):
+            vals = np.array([getattr(r, key) for r in recs])
+            cell[f"mean_{key}"] = float(vals.mean())
+            cell[f"median_{key}"] = float(np.median(vals))
+        cell["convergence_rate"] = float(np.mean([r.converged for r in recs]))
+        out.append(cell)
     return out
 
 
 def result_to_json(result: BenchmarkResult) -> dict:
     """Deterministic report payload: config, per-run records (without
     timings), and aggregates derived from those records."""
-    records = []
-    for r in result.records:
-        rec = asdict(r)
-        del rec["seconds"]
-        records.append(rec)
     return {
         "schema": "aqmf-benchmark/1",
         "config": asdict(result.config),
-        "records": records,
+        "records": [
+            {k: v for k, v in asdict(r).items() if k != "seconds"} for r in result.records
+        ],
         "aggregates": aggregate(result),
     }
 
@@ -262,35 +249,18 @@ def result_to_json(result: BenchmarkResult) -> dict:
 def timing_to_json(result: BenchmarkResult) -> dict:
     """Wall-clock sidecar: per-run seconds plus per-cell means.  Kept apart
     from :func:`result_to_json` because timings differ run to run."""
-    records = [
-        {
-            "noise": r.noise,
-            "rank": r.rank,
-            "method": r.method,
-            "replication": r.replication,
-            "seconds": float(r.seconds),
-        }
-        for r in result.records
-    ]
-    cells = []
-    for noise in result.config.noise_rows:
-        for rank in result.config.ranks:
-            for method in result.config.methods:
-                recs = _cell_records(result, noise, rank, method)
-                if recs:
-                    cells.append(
-                        {
-                            "noise": noise,
-                            "rank": rank,
-                            "method": method,
-                            "mean_seconds": float(np.mean([r.seconds for r in recs])),
-                        }
-                    )
+    keys = ("noise", "rank", "method", "replication")
     return {
         "schema": "aqmf-benchmark-timing/1",
         "master_seed": result.config.master_seed,
-        "records": records,
-        "aggregates": cells,
+        "records": [
+            {k: getattr(r, k) for k in keys} | {"seconds": float(r.seconds)}
+            for r in result.records
+        ],
+        "aggregates": [
+            cell | {"mean_seconds": float(np.mean([r.seconds for r in recs]))}
+            for cell, recs in _cells(result)
+        ],
     }
 
 
@@ -300,45 +270,35 @@ def render_table(result: BenchmarkResult) -> str:
     Each block has an L1 and an L2 column per method, one row per noise
     family, then mean and median footer rows.
 
-    Every number is recomputed from the per-replication records, so the table
-    always agrees with the JSON.
+    Every cell is the matching ``mean_*`` of :func:`aggregate`, so the table
+    always agrees with the JSON; the footers reduce those cell means.
     """
     cfg = result.config
+    cells = {(c["noise"], c["rank"], c["method"]): c for c in aggregate(result)}
+    columns = [(metric, method) for metric in ("l1", "l2") for method in cfg.methods]
+    headers = [f"{metric.upper()}:{method}" for metric, method in columns]
+    label_w = max(len("median"), *(len(NOISE_ROWS[name][0]) for name in cfg.noise_rows))
+    col_w = max(12, max(len(h) for h in headers) + 2)
+
+    def row(label, values):
+        return label.ljust(label_w) + "".join(f"{float(x):.3f}".rjust(col_w) for x in values)
+
     blocks = []
     for rank in cfg.ranks:
         for suffix, caption in (("truth", "clean ground truth"),
                                 ("noisy", "noisy input")):
-            label_w = max(
-                [len(NOISE_ROWS[name][0]) for name in cfg.noise_rows]
-                + [len("median")]
-            )
-            headers = []
-            for metric in ("L1", "L2"):
-                for method in cfg.methods:
-                    headers.append(f"{metric}:{method}")
-            col_w = max(12, max(len(h) for h in headers) + 2)
             lines = [
                 f"rank {rank} "
-                f"({cfg.replications} replications, errors vs the {caption})"
+                f"({cfg.replications} replications, errors vs the {caption})",
+                "noise".ljust(label_w) + "".join(h.rjust(col_w) for h in headers),
             ]
-            lines.append(
-                "noise".ljust(label_w) + "".join(h.rjust(col_w) for h in headers)
-            )
-            columns = {h: [] for h in headers}
-            for name in cfg.noise_rows:
-                row = NOISE_ROWS[name][0].ljust(label_w)
-                for metric_key, metric in ((f"l1_{suffix}", "L1"),
-                                           (f"l2_{suffix}", "L2")):
-                    for method in cfg.methods:
-                        recs = _cell_records(result, name, rank, method)
-                        mean = float(np.mean([getattr(r, metric_key) for r in recs]))
-                        columns[f"{metric}:{method}"].append(mean)
-                        row += f"{mean:.3f}".rjust(col_w)
-                lines.append(row)
+            means = [
+                [cells[name, rank, method][f"mean_{metric}_{suffix}"]
+                 for metric, method in columns]
+                for name in cfg.noise_rows
+            ]
+            lines += [row(NOISE_ROWS[name][0], m) for name, m in zip(cfg.noise_rows, means)]
             for footer, reducer in (("mean", np.mean), ("median", np.median)):
-                row = footer.ljust(label_w)
-                for h in headers:
-                    row += f"{float(reducer(columns[h])):.3f}".rjust(col_w)
-                lines.append(row)
+                lines.append(row(footer, [reducer(col) for col in zip(*means)]))
             blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"

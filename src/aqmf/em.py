@@ -16,12 +16,12 @@ import numpy as np
 
 from . import ald
 from .types import FactorPair, MaskedMatrix
-from .wl1 import WL1Options, solve_wl1
+from .wl1 import solve_wl1
 
 
 LAMBDA_MAX = 1e6
 ETA_EPSILON = 1e-12
-INNER_OPTIONS = WL1Options(max_sweeps=10, objective_tolerance=1e-6)
+INNER_SWEEPS = 10
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,9 @@ class FitOptions:
     ``rank`` is the factorization rank and is required.  ``components`` is
     the number of noise components before pruning.  ``max_iterations``
     bounds the outer EM iterations.  The rate cap, the asymmetry cut-off and
-    the inner solver settings are the module constants ``LAMBDA_MAX``,
-    ``ETA_EPSILON`` and ``INNER_OPTIONS``.
+    the inner sweep budget are the module constants ``LAMBDA_MAX``,
+    ``ETA_EPSILON`` and ``INNER_SWEEPS``; the inner stopping tolerance is
+    ``wl1.OBJECTIVE_TOLERANCE``.
     """
 
     rank: int
@@ -252,7 +253,7 @@ def fit(
         model = ald.MoALModel(weights, rates, asym)
         gamma = _responsibilities(residuals, model, ald.mixture_logpdf(residuals, model))
         W = compute_weights(X, gamma, model, residuals)
-        factors = solve_wl1(X, W, factors, INNER_OPTIONS)
+        factors = solve_wl1(X, W, factors, INNER_SWEEPS)
         residuals = _observed_residuals(X, factors)
         log_density = ald.mixture_logpdf(residuals, model)
         gamma = _responsibilities(residuals, model, log_density)
@@ -290,8 +291,7 @@ def fit_l1_baseline(
     rng = np.random.default_rng(seed)
     factors = init_factors(X, rank, rng)
     W = X.mask.astype(float)
-    single = WL1Options(max_sweeps=1, objective_tolerance=1e-300)
     factors, sweeps, converged = _until_fixed_point(
-        factors, lambda f: solve_wl1(X, W, f, single), max_sweeps
+        factors, lambda f: solve_wl1(X, W, f, max_sweeps=1), max_sweeps
     )
     return factors, BaselineReport(sweeps=sweeps, converged=converged, seed=seed)

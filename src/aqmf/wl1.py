@@ -8,25 +8,12 @@ weighted median of residual ratios, so the objective never increases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .types import FactorPair, MaskedMatrix
 
-
-@dataclass(frozen=True)
-class WL1Options:
-    """Inner-solver settings: sweep budget and relative stopping tolerance."""
-
-    max_sweeps: int = 10
-    objective_tolerance: float = 1e-6
-
-    def __post_init__(self):
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be at least 1")
-        if not self.objective_tolerance > 0:
-            raise ValueError("objective_tolerance must be positive")
+# A solve stops once a sweep lowers the objective by less than this fraction.
+OBJECTIVE_TOLERANCE = 1e-6
 
 
 def weighted_median(values, weights) -> float:
@@ -122,7 +109,7 @@ def solve_wl1(
     X: MaskedMatrix,
     weight_matrix,
     factors: FactorPair,
-    options: WL1Options | None = None,
+    max_sweeps: int = 10,
 ) -> FactorPair:
     """Run cyclic weighted-median sweeps from a warm start.
 
@@ -133,7 +120,7 @@ def solve_wl1(
     recomputed once per sweep to bound drift.
 
     Stops when the objective decrease over a sweep falls below
-    ``objective_tolerance`` relative to the previous value, or after
+    ``OBJECTIVE_TOLERANCE`` relative to the previous value, or after
     ``max_sweeps`` sweeps.
 
     All per-column subproblems of one factor column are independent of each
@@ -143,7 +130,8 @@ def solve_wl1(
     records the objective after every single entry update, and one-sweep
     solves must reproduce its factors.
     """
-    opts = options or WL1Options()
+    if max_sweeps < 1:
+        raise ValueError("max_sweeps must be at least 1")
     W = _check_weight_matrix(X, weight_matrix)
     U = factors.u.copy()
     V = factors.v.copy()
@@ -159,13 +147,13 @@ def solve_wl1(
     prev_obj = objective(R)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(opts.max_sweeps):
+        for _ in range(max_sweeps):
             # the V pass works on n x m arrays, the U pass on m x n ones
             R_T = _factor_pass(np.ascontiguousarray(R.T), W_T, U, V)
             _factor_pass(np.ascontiguousarray(R_T.T), W, V, U)
             R = values - U @ V.T
             obj = objective(R)
-            done = prev_obj - obj < opts.objective_tolerance * max(prev_obj, 1e-300)
+            done = prev_obj - obj < OBJECTIVE_TOLERANCE * max(prev_obj, 1e-300)
             prev_obj = obj
             if done:
                 break

@@ -32,7 +32,7 @@ from aqmf.cli import main as cli_main
 from aqmf.em import FitOptions
 from aqmf.synth import AsymmetricLaplaceNoise, make_instance
 from aqmf.types import FactorPair, MaskedMatrix
-from aqmf.wl1 import WL1Options, solve_wl1, weighted_median, wl1_objective
+from aqmf.wl1 import solve_wl1, weighted_median, wl1_objective
 from oracles import relative_gap, scalar_sweep
 
 
@@ -150,6 +150,8 @@ def test_criterion_4_inner_solver_monotone_per_update():
     start = time.perf_counter()
     rng = np.random.default_rng(5)
     worst = 0.0
+    worst_raw = -np.inf  # largest rise before the slack, relative to 1 + |obj|
+    rounding_rises = 0
     worst_gap = 0.0
     updates = 0
     for _ in range(100):
@@ -166,8 +168,11 @@ def test_criterion_4_inner_solver_monotone_per_update():
             tr = np.array([wl1_objective(X, W, factors), *trace])
             rises = np.diff(tr) - 1e-9 * (1.0 + np.abs(tr[:-1]))
             worst = max(worst, float(rises.max()))
+            raw = np.diff(tr) / (1.0 + np.abs(tr[:-1]))
+            worst_raw = max(worst_raw, float(raw.max()))
+            rounding_rises += int(np.count_nonzero(raw > 0.0))
             updates += len(trace)
-            factors = solve_wl1(X, W, factors, WL1Options(max_sweeps=1))
+            factors = solve_wl1(X, W, factors, max_sweeps=1)
             worst_gap = max(worst_gap, relative_gap(factors, ref))
     elapsed = time.perf_counter() - start
     ok = worst <= 0.0 and worst_gap <= 1e-9 and elapsed < 10.0
@@ -175,7 +180,8 @@ def test_criterion_4_inner_solver_monotone_per_update():
         4,
         ok,
         f"objective non-increasing across {updates} scalar updates on 100 instances "
-        f"(worst rise {worst:.2e}); solver sweeps match the reference "
+        f"({rounding_rises} rise by rounding, at most {worst_raw:.1e} relative, "
+        f"slack 1e-9); solver sweeps match the reference "
         f"(worst relative gap {worst_gap:.1e})",
         elapsed,
     )

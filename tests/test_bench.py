@@ -1,7 +1,9 @@
 """Benchmark grid runner, aggregation, JSON payloads, and text tables."""
 
 import dataclasses
+import itertools
 import json
+import random
 
 import numpy as np
 import pytest
@@ -140,6 +142,72 @@ def test_render_table_layout(tiny_result):
     means = [l for l in lines if l.startswith("mean")]
     medians = [l for l in lines if l.startswith("median")]
     assert len(means) == 2 and len(medians) == 2
+
+
+@pytest.fixture(scope="module")
+def drawn_result():
+    """A result with random errors and no fits.  Five replications and
+    three noise rows make means differ from medians and sums depend on
+    their order, which two replications and two rows cannot show."""
+    cfg = dataclasses.replace(
+        TINY, ranks=(2, 3), replications=5, noise_rows=("laplace", "gaussian", "asym_laplace")
+    )
+    rng = np.random.default_rng(3)
+    records = [
+        bench.RunRecord(
+            noise=noise, rank=rank, method=method, replication=rep, data_seed=0, fit_seed=0,
+            **dict(zip(("l1_noisy", "l2_noisy", "l1_truth", "l2_truth"), rng.lognormal(size=4))),
+            iterations=10, converged=bool(rng.random() < 0.5), final_components=None,
+            seconds=float(rng.random()),
+        )
+        for noise, rank, rep, method in itertools.product(
+            cfg.noise_rows, cfg.ranks, range(cfg.replications), cfg.methods
+        )
+    ]
+    return bench.BenchmarkResult(cfg, records)
+
+
+@pytest.mark.parametrize("fixture", ["tiny_result", "drawn_result"])
+def test_reports_ignore_record_order(fixture, request):
+    result = request.getfixturevalue(fixture)
+    shuffled = dataclasses.replace(result, records=list(result.records))
+    random.Random(0).shuffle(shuffled.records)
+    assert shuffled.records != result.records
+    assert jsonfmt.dumps(aggregate(shuffled)) == jsonfmt.dumps(aggregate(result))
+    assert jsonfmt.dumps(timing_to_json(shuffled)["aggregates"]) == jsonfmt.dumps(
+        timing_to_json(result)["aggregates"]
+    )
+    assert render_table(shuffled) == render_table(result)
+
+
+@pytest.mark.parametrize("fixture", ["tiny_result", "drawn_result"])
+def test_render_table_numbers_are_aggregate_means(fixture, request):
+    result = request.getfixturevalue(fixture)
+    cfg = result.config
+    cells = {(c["noise"], c["rank"], c["method"]): c for c in aggregate(result)}
+    names = {NOISE_ROWS[name][0]: name for name in cfg.noise_rows}
+    blocks = render_table(result).rstrip("\n").split("\n\n")
+    layout = list(itertools.product(cfg.ranks, ("truth", "noisy")))
+    assert len(blocks) == len(layout)
+    checked = 0
+    for block, (rank, suffix) in zip(blocks, layout):
+        caption, header, *rows = block.splitlines()
+        assert caption.startswith(f"rank {rank} ")
+        columns = [h.split(":") for h in header.split()[1:]]
+        table = {}
+        for line in rows:
+            parts = line.split()
+            table[" ".join(parts[: -len(columns)])] = parts[-len(columns):]
+        assert list(table) == [*names, "mean", "median"]
+        for k, (metric, method) in enumerate(columns):
+            key = f"mean_{metric.lower()}_{suffix}"
+            means = [cells[name, rank, method][key] for name in names.values()]
+            for label, mean in zip(names, means):
+                assert table[label][k] == f"{mean:.3f}"
+                checked += 1
+            assert table["mean"][k] == f"{np.mean(means):.3f}"
+            assert table["median"][k] == f"{np.median(means):.3f}"
+    assert checked == len(layout) * 2 * len(cfg.methods) * len(cfg.noise_rows)
 
 
 # --- deterministic JSON writer -------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from aqmf import wl1
 from aqmf.types import FactorPair, MaskedMatrix
-from aqmf.wl1 import WL1Options, solve_wl1, weighted_median, wl1_objective
+from aqmf.wl1 import solve_wl1, weighted_median, wl1_objective
 from oracles import relative_gap, scalar_sweep
 
 
@@ -133,7 +133,7 @@ def test_solve_recovers_noiseless_rank1():
     X = MaskedMatrix(truth, np.ones_like(truth, dtype=bool))
     W = np.ones_like(truth)
     start = FactorPair(rng.normal(size=(12, 1)), rng.normal(size=(9, 1)))
-    out = solve_wl1(X, W, start, WL1Options(max_sweeps=50, objective_tolerance=1e-14))
+    out = solve_wl1(X, W, start, max_sweeps=50)
     assert np.max(np.abs(out.product() - truth)) < 1e-8
 
 
@@ -146,7 +146,7 @@ def test_solve_objective_trace_non_increasing():
         ref, trace = scalar_sweep(X, W, factors)
         tr = np.array([wl1_objective(X, W, factors), *trace])
         assert np.all(np.diff(tr) <= 1e-9 * (1.0 + np.abs(tr[:-1])))
-        factors = solve_wl1(X, W, factors, WL1Options(max_sweeps=1))
+        factors = solve_wl1(X, W, factors, max_sweeps=1)
         assert relative_gap(factors, ref) <= 1e-9
 
 
@@ -166,10 +166,17 @@ def test_rejects_negative_weights_and_bad_shape():
         solve_wl1(X, np.ones((2, 2)), factors)
 
 
+def test_rejects_zero_sweep_budget():
+    X = MaskedMatrix([[1.0, 2.0]], [[True, True]])
+    factors = FactorPair(np.ones((1, 1)), np.ones((2, 1)))
+    with pytest.raises(ValueError, match="max_sweeps must be at least 1"):
+        solve_wl1(X, np.ones((1, 2)), factors, max_sweeps=0)
+
+
 def test_zero_weight_row_freezes_factor():
     # a factor entry whose every weighted witness is zero must stay put
     X = MaskedMatrix([[1.0, 2.0], [3.0, 4.0]], [[True, True], [False, False]])
     W = np.array([[1.0, 1.0], [0.0, 0.0]])
     factors = FactorPair(np.array([[0.5], [7.25]]), np.array([[1.0], [1.0]]))
-    out = solve_wl1(X, W, factors, WL1Options(max_sweeps=3))
+    out = solve_wl1(X, W, factors, max_sweeps=3)
     assert out.u[1, 0] == 7.25
