@@ -46,9 +46,10 @@ def _column_medians(cands: np.ndarray, wts: np.ndarray):
     """Weighted median of each column of ``cands`` under column weights ``wts``.
 
     Columns whose weights are all zero are flagged False in the second return
-    value and get an unspecified median.  Tie-breaking matches
-    :func:`weighted_median` (stable ascending sort, first crossing of half the
-    total weight).
+    value and get an unspecified median.  Every other column gets the value
+    the stable rule of :func:`weighted_median` picks (ascending sort, first
+    crossing of half the total weight); order inside tied blocks and the sign
+    of a zero pick are unspecified.
 
     The work runs on the transposed arrays, one contiguous row per column,
     so callers that hold row-major data pass transposed views and nothing is
@@ -59,7 +60,7 @@ def _column_medians(cands: np.ndarray, wts: np.ndarray):
     w = np.ascontiguousarray(wts.T)
     rows, length = c.shape
     starts = np.arange(0, rows * length, length)
-    order = c.argsort(axis=1, kind="stable")
+    order = c.argsort(axis=1)
     order += starts[:, None]
     cum = np.add.accumulate(w.take(order), axis=1)
     total = cum[:, -1]
@@ -85,15 +86,26 @@ def _check_weight_matrix(X: MaskedMatrix, weight_matrix) -> np.ndarray:
     return W
 
 
-def _factor_pass(R, W, fixed, moving):
+def _row_layout(mask):
+    """Column of each row's observed entries, padded to the longest row.
+
+    Each row lists its observed columns in order, then as many of its own
+    unobserved columns as it needs to reach the common width.
+    """
+    width = int(mask.sum(axis=1).max())
+    return np.argsort(~mask, axis=1, kind="stable")[:, :width]
+
+
+def _factor_pass(R, W, fixed_at, fixed, moving):
     """Update every column of ``moving`` in place, ``fixed`` held constant.
 
-    ``R`` and ``W`` are laid out with one row per row of ``moving`` and one
-    column per row of ``fixed``, so each weighted median runs over one
-    contiguous row.  Returns the updated residual.
+    ``R`` and ``W`` hold one row per row of ``moving``, laid out as the pass's
+    compact slots; ``fixed_at`` names the row of ``fixed`` behind each slot.
+    Padding slots carry zero weight, so they never move a median.  Returns
+    the updated residual.
     """
     for i in range(fixed.shape[1]):
-        f = fixed[:, i]
+        f = fixed[:, i].take(fixed_at)
         g = moving[:, i]
         E = R + g[:, None] * f
         wts = W * np.abs(f)
@@ -119,6 +131,11 @@ def solve_wl1(
     per-factor residual is maintained incrementally and the full residual is
     recomputed once per sweep to bound drift.
 
+    Each weighted median runs over the observed entries of one row or column
+    of X only, padded with zero-weight unobserved ones up to the longest such
+    row or column, so a sweep's work grows with the observed count rather
+    than with the full m x n size.
+
     Stops when the objective decrease over a sweep falls below
     ``OBJECTIVE_TOLERANCE`` relative to the previous value, or after
     ``max_sweeps`` sweeps.
@@ -128,7 +145,8 @@ def solve_wl1(
     identical to updating the entries one at a time.  The test suite checks
     this from outside: a scalar reference sweep (``tests/oracles.py``)
     records the objective after every single entry update, and one-sweep
-    solves must reproduce its factors.
+    solves must reproduce its factors.  A dense reference that sorts every
+    entry of each row and column must give equal factors.
     """
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be at least 1")
@@ -142,19 +160,31 @@ def solve_wl1(
     def objective(resid):
         return float(w_obs @ np.abs(resid[obs]))
 
-    W_T = np.ascontiguousarray(W.T)
+    # The V pass runs over the columns of X, the U pass over its rows.  Each
+    # holds its residual and weights at flat positions of X in compact slots.
+    m, n = obs.shape
+    v_row = _row_layout(obs.T)
+    v_at = v_row * n + np.arange(n)[:, None]
+    u_col = _row_layout(obs)
+    u_at = u_col + n * np.arange(m)[:, None]
+    v_slot = np.zeros(m * n, dtype=np.intp)
+    v_slot[v_at.ravel()] = np.arange(v_at.size)
+    u_from_v = v_slot.take(u_at)  # padding reads an arbitrary slot
+    v_w = W.take(v_at)
+    u_w = W.take(u_at)
+
     R = values - U @ V.T
-    prev_obj = objective(R)
+    prev_obj = objective(R) if max_sweeps > 1 else None
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_sweeps):
-            # the V pass works on n x m arrays, the U pass on m x n ones
-            R_T = _factor_pass(np.ascontiguousarray(R.T), W_T, U, V)
-            _factor_pass(np.ascontiguousarray(R_T.T), W, V, U)
+        for sweep in range(1, max_sweeps + 1):
+            R_v = _factor_pass(R.take(v_at), v_w, v_row, U, V)
+            _factor_pass(R_v.take(u_from_v), u_w, u_col, V, U)
+            if sweep == max_sweeps:
+                break
             R = values - U @ V.T
             obj = objective(R)
-            done = prev_obj - obj < OBJECTIVE_TOLERANCE * max(prev_obj, 1e-300)
-            prev_obj = obj
-            if done:
+            if prev_obj - obj < OBJECTIVE_TOLERANCE * max(prev_obj, 1e-300):
                 break
+            prev_obj = obj
     return FactorPair(U, V)

@@ -8,7 +8,7 @@ slow but easy to check against the definition of the objective.
 import numpy as np
 
 from aqmf.types import FactorPair
-from aqmf.wl1 import weighted_median, wl1_objective
+from aqmf.wl1 import OBJECTIVE_TOLERANCE, weighted_median, wl1_objective
 
 
 def update_v_entry(j, i, X, weight_matrix, factors):
@@ -61,3 +61,43 @@ def relative_gap(got, ref):
     a = np.vstack([got.u, got.v])
     b = np.vstack([ref.u, ref.v])
     return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+def dense_sweep(X, weight_matrix, factors, max_sweeps):
+    """``wl1.solve_wl1`` over every entry of each row and column.
+
+    Each factor column's weighted medians run over whole rows of dense m x n
+    arrays, hidden entries included with zero weight, through the stable
+    scalar ``weighted_median``.  Stops by the solver's rule.
+    """
+    U, V = factors.u.copy(), factors.v.copy()
+    obs, values = X.mask, X.values
+    w_obs = weight_matrix[obs]
+
+    def factor_pass(R, W, fixed, moving):
+        for i in range(fixed.shape[1]):
+            f, g = fixed[:, i], moving[:, i].copy()
+            E = R + g[:, None] * f
+            wts = W * np.abs(f)
+            cands = np.where(wts > 0, E / f, 0.0)
+            for k in np.flatnonzero((wts > 0).any(axis=1)):
+                g[k] = weighted_median(cands[k], wts[k])
+            moving[:, i] = g
+            R = E - g[:, None] * f
+        return R
+
+    def objective(R):
+        return float(w_obs @ np.abs(R[obs]))
+
+    R = values - U @ V.T
+    prev = objective(R)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_sweeps):
+            R_T = factor_pass(R.T, weight_matrix.T, U, V)
+            factor_pass(R_T.T, weight_matrix, V, U)
+            R = values - U @ V.T
+            obj = objective(R)
+            if prev - obj < OBJECTIVE_TOLERANCE * max(prev, 1e-300):
+                break
+            prev = obj
+    return FactorPair(U, V)

@@ -1,9 +1,10 @@
 """Acceptance gate: nine go/no-go checks over the whole package.
 
-Every test prints exactly one ``[criterion N] PASS/FAIL`` line (with its
-wall-clock time) before asserting, so the run log always carries the full
-scoreboard.  Criteria 6 and 7 share one full benchmark grid, executed once
-per session by the module fixture.
+Every criterion test prints exactly one ``[criterion N] PASS/FAIL`` line
+(with its wall-clock time) before asserting, so the run log always carries
+the full scoreboard.  Criteria 6 and 7 share one full benchmark grid,
+executed once per session by the module fixture; a last test pins the
+SHA-256 of that grid's result JSON.
 
 Known reds, analysed in depth in the project notes:
 
@@ -19,13 +20,14 @@ Known reds, analysed in depth in the project notes:
   ordering flips on a minority of seeds and the mean lands slightly above.
 """
 
+import hashlib
 import time
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from aqmf import ald, bench, em, wl1
+from aqmf import ald, bench, em, jsonfmt, wl1
 from aqmf.ald import ALParams
 from aqmf.bench import BenchmarkConfig, aggregate, run_benchmark
 from aqmf.cli import main as cli_main
@@ -43,12 +45,15 @@ def _report(n: int, ok: bool, detail: str, elapsed: float) -> None:
 @pytest.fixture(scope="module")
 def full_grid():
     """One default benchmark grid (40x20, ranks 4 and 8, 30 replications,
-    all eight noise rows, both methods), shared by criteria 6 and 7."""
+    all eight noise rows, both methods), shared by criteria 6 and 7 and the
+    result-bytes pin.  Returns the cells, the grid's run time and the result
+    JSON bytes."""
     start = time.perf_counter()
     result = run_benchmark(BenchmarkConfig())
     elapsed = time.perf_counter() - start
     cells = {(c["noise"], c["rank"], c["method"]): c for c in aggregate(result)}
-    return cells, elapsed
+    blob = jsonfmt.dumps(bench.result_to_json(result)).encode()
+    return cells, elapsed, blob
 
 
 def test_criterion_1_distribution_correctness():
@@ -233,7 +238,7 @@ REFERENCE_L1_R4 = {
 
 
 def test_criterion_6_error_bands_rank4(full_grid):
-    cells, elapsed = full_grid
+    cells, elapsed, _ = full_grid
     misses = []
     parts = []
     for noise, ref in REFERENCE_L1_R4.items():
@@ -259,7 +264,7 @@ def test_criterion_6_error_bands_rank4(full_grid):
 
 
 def test_criterion_7_adaptive_beats_uniform_baseline(full_grid):
-    cells, elapsed = full_grid
+    cells, _, _ = full_grid
     losses = []
     wins = []
     for noise in ("asym_laplace", "mixture1", "mixture2"):
@@ -278,6 +283,19 @@ def test_criterion_7_adaptive_beats_uniform_baseline(full_grid):
     )
     _report(7, ok, detail, 0.0)
     assert not losses, detail
+
+
+# SHA-256 of the default grid's result JSON.  A change that moves it must say
+# which numbers change and why, and then update this digest.
+DEFAULT_GRID_SHA256 = "81c24a468d27919103515e129d0616eccb384e4ef4bb1d9d126e720391d73c9e"
+
+
+def test_default_grid_result_bytes_pinned(full_grid):
+    _, _, blob = full_grid
+    digest = hashlib.sha256(blob).hexdigest()
+    assert digest == DEFAULT_GRID_SHA256, (
+        f"default grid result SHA-256 is {digest} ({len(blob)} bytes), "
+        f"pinned {DEFAULT_GRID_SHA256}")
 
 
 def test_criterion_8_exact_recovery_noiseless():

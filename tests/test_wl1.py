@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from aqmf import wl1
 from aqmf.types import FactorPair, MaskedMatrix
 from aqmf.wl1 import solve_wl1, weighted_median, wl1_objective
-from oracles import relative_gap, scalar_sweep
+from oracles import dense_sweep, relative_gap, scalar_sweep
 
 
 def brute_force_median(values, weights):
@@ -86,13 +86,15 @@ def test_column_medians_match_scalar_calls():
 @settings(max_examples=300, deadline=None)
 def test_column_medians_match_scalar_calls_under_ties(data):
     # integer candidates and weights: many tied values, and cumulative
-    # weights that land exactly on half the total, where tie-breaking decides
+    # weights that land exactly on half the total, where tie-breaking decides;
+    # zero candidates come with either sign, which the kernel may pick
     rows = data.draw(st.integers(min_value=1, max_value=6))
     length = data.draw(st.integers(min_value=1, max_value=12))
-    ints = st.lists(
-        st.integers(min_value=-3, max_value=3), min_size=rows * length, max_size=rows * length
-    )
+    size = rows * length
+    ints = st.lists(st.integers(min_value=-3, max_value=3), min_size=size, max_size=size)
     cands = np.array(data.draw(ints), dtype=float).reshape(rows, length)
+    negative = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    cands[(cands == 0) & negative.reshape(rows, length)] = -0.0
     wts = np.abs(np.array(data.draw(ints), dtype=float)).reshape(rows, length)
     med, live = wl1._column_medians(cands.T, wts.T)
     for k in range(rows):
@@ -148,6 +150,48 @@ def test_solve_objective_trace_non_increasing():
         assert np.all(np.diff(tr) <= 1e-9 * (1.0 + np.abs(tr[:-1])))
         factors = solve_wl1(X, W, factors, max_sweeps=1)
         assert relative_gap(factors, ref) <= 1e-9
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_observed_only_sweeps_match_dense_sweeps(data):
+    # Values and weights are multiples of 1/8 and the starting factors are 0
+    # or powers of two, so candidates tie often and, through the first sweep,
+    # every cumulative weight is exact: a pick that moved would show here.
+    m = data.draw(st.integers(min_value=1, max_value=9))
+    n = data.draw(st.integers(min_value=1, max_value=9))
+    rank = data.draw(st.integers(min_value=1, max_value=3))
+
+    def grid(shape, elements):
+        size = shape[0] * shape[1]
+        return np.array(data.draw(st.lists(elements, min_size=size, max_size=size)),
+                        dtype=float).reshape(shape)
+
+    mask = grid((m, n), st.booleans()).astype(bool)
+    row, col = st.integers(0, m - 1), st.integers(0, n - 1)
+    shapes = st.sampled_from(["dead row", "dead column", "full row", "single-entry row"])
+    for shape in data.draw(st.lists(shapes, unique=True)):
+        if shape == "dead row":
+            mask[data.draw(row)] = False
+        elif shape == "dead column":
+            mask[:, data.draw(col)] = False
+        elif shape == "full row":
+            mask[data.draw(row)] = True
+        else:
+            r = data.draw(row)
+            mask[r] = False
+            mask[r, data.draw(col)] = True
+    if not mask.any():
+        mask[data.draw(row), data.draw(col)] = True
+    eighths = st.integers(min_value=-16, max_value=16).map(lambda k: k / 8)
+    X = MaskedMatrix(np.where(mask, grid((m, n), eighths), 0.0), mask)
+    W = np.where(mask, np.abs(grid((m, n), eighths)), 0.0)
+    powers = st.sampled_from([0.0, 0.5, 1.0, 2.0, -0.5, -1.0, -2.0])
+    factors = FactorPair(grid((m, rank), powers), grid((n, rank), powers))
+    for sweeps in (1, 2, 3):
+        got = solve_wl1(X, W, factors, max_sweeps=sweeps)
+        ref = dense_sweep(X, W, factors, sweeps)
+        assert np.array_equal(got.u, ref.u) and np.array_equal(got.v, ref.v)
 
 
 def test_rejects_weight_outside_mask():
