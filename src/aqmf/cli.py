@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -98,10 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_fit(args) -> int:
     X = read_csv_matrix(args.input)
+    source = Path(args.input)
     report = {
         "command": "fit",
         "config": {
-            "input": str(args.input),
+            "input": source.name,
+            "input_sha256": hashlib.sha256(source.read_bytes()).hexdigest(),
             "rank": args.rank,
             "components": args.components,
             "max_iters": args.max_iters,

@@ -10,6 +10,7 @@ PGM support covers the binary ``P5`` flavor with one byte per pixel
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,6 @@ def read_csv_matrix(path) -> MaskedMatrix:
         raise ParseError(f"{path}: empty matrix file")
     width = None
     values = []
-    mask = []
     for r, line in enumerate(lines, start=1):
         tokens = line.split(",")
         if width is None:
@@ -47,29 +47,25 @@ def read_csv_matrix(path) -> MaskedMatrix:
             raise ParseError(
                 f"{path}: row {r} has {len(tokens)} fields, expected {width}"
             )
-        row_v = np.empty(width)
-        row_m = np.empty(width, dtype=bool)
+        row = []
         for c, token in enumerate(tokens, start=1):
             t = token.strip()
-            if t.lower() == "nan":
-                row_v[c - 1] = np.nan
-                row_m[c - 1] = False
-                continue
             try:
                 x = float(t)
             except ValueError:
                 raise ParseError(
                     f"{path}: row {r}, column {c}: cannot parse {t!r}"
                 ) from None
-            if not np.isfinite(x):
+            # float() reads "nan" in any case as the one NaN that marks a
+            # missing entry; every other non-finite value is an error.
+            if not math.isfinite(x) and t.lower() != "nan":
                 raise ParseError(
                     f"{path}: row {r}, column {c}: non-finite value {t!r}"
                 )
-            row_v[c - 1] = x
-            row_m[c - 1] = True
-        values.append(row_v)
-        mask.append(row_m)
-    return MaskedMatrix(np.array(values), np.array(mask))
+            row.append(x)
+        values.append(row)
+    values = np.array(values)
+    return MaskedMatrix(values, np.isfinite(values))
 
 
 def write_csv_matrix(path, X: MaskedMatrix) -> None:

@@ -5,13 +5,20 @@ entries, and a small zoo of noise distributions to corrupt the observations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
-from scipy import optimize, stats
 
 from . import ald
 from .types import FactorPair, MaskedMatrix
+
+# Smallest left-tail mass a SkewNormalNoise accepts, and 1 minus it the
+# largest.  Past these the bisection cannot find the shape: scipy's
+# skew-normal cdf at 0 drops to exactly 0 for shapes above about 3.2e5 (left
+# mass 1e-6), and the bracket [-1e6, 1e6] holds no root for a left mass
+# above 1 - 3.2e-7.
+SKEW_NORMAL_MIN_ASYMMETRY = 1e-6
 
 
 @dataclass(frozen=True)
@@ -69,7 +76,13 @@ class AsymmetricLaplaceNoise:
 class SkewNormalNoise:
     """Skew-normal noise with scale ``sigma``; the shape parameter is solved
     numerically (bisection) so that P(X <= 0) equals ``asymmetry``, matching
-    the left-tail-mass meaning the asymmetry has elsewhere in the package."""
+    the left-tail-mass meaning the asymmetry has elsewhere in the package.
+
+    ``asymmetry`` must lie in [SKEW_NORMAL_MIN_ASYMMETRY,
+    1 - SKEW_NORMAL_MIN_ASYMMETRY].  The shape is solved on first use, and
+    scipy.stats and scipy.optimize are imported only then, which keeps them
+    off the package's import path.
+    """
 
     sigma: float
     asymmetry: float
@@ -77,14 +90,23 @@ class SkewNormalNoise:
     def __post_init__(self):
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError("sigma must be positive")
-        if not (0.0 < self.asymmetry < 1.0):
-            raise ValueError("asymmetry must lie in (0, 1)")
-        shape = optimize.bisect(
+        if not (SKEW_NORMAL_MIN_ASYMMETRY <= self.asymmetry <= 1.0 - SKEW_NORMAL_MIN_ASYMMETRY):
+            raise ValueError(
+                f"asymmetry must lie in [{SKEW_NORMAL_MIN_ASYMMETRY:g}, "
+                f"1 - {SKEW_NORMAL_MIN_ASYMMETRY:g}], got {self.asymmetry!r}"
+            )
+
+    @cached_property
+    def shape(self) -> float:
+        from scipy import optimize, stats
+
+        return float(optimize.bisect(
             lambda a: stats.skewnorm.cdf(0.0, a) - self.asymmetry, -1e6, 1e6, xtol=1e-13
-        )
-        object.__setattr__(self, "shape", float(shape))
+        ))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        from scipy import stats
+
         return stats.skewnorm.rvs(self.shape, loc=0.0, scale=self.sigma, size=n, random_state=rng)
 
 

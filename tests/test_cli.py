@@ -1,5 +1,6 @@
 """End-to-end CLI tests driving main() with real files."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -83,6 +84,25 @@ def test_fit_deterministic_given_seed(small_csv, tmp_path):
               "--report", str(path)])
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_fit_report_does_not_depend_on_input_directory(small_csv, tmp_path, monkeypatch):
+    reports = []
+    for where in ("one", "two/deeper"):
+        d = tmp_path / where
+        d.mkdir(parents=True)
+        (d / "data.csv").write_bytes(small_csv.read_bytes())
+        reports.append(d / "report.json")
+    # one run by absolute path, one by a path relative to the working directory
+    assert main(["fit", "--input", str(tmp_path / "one" / "data.csv"), "--rank", "2",
+                 "--max-iters", "3", "--report", str(reports[0])]) == 0
+    monkeypatch.chdir(tmp_path / "two")
+    assert main(["fit", "--input", "deeper/data.csv", "--rank", "2", "--max-iters", "3",
+                 "--report", str(reports[1])]) == 0
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+    config = json.loads(reports[0].read_text())["config"]
+    assert config["input"] == "data.csv"
+    assert config["input_sha256"] == hashlib.sha256(small_csv.read_bytes()).hexdigest()
 
 
 def test_fit_missing_input_is_io_error(tmp_path, capsys):

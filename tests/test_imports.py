@@ -1,0 +1,60 @@
+"""The package's import path: scipy.stats and scipy.optimize load only when a
+skew-normal noise spec first needs them, so `import aqmf` and `aqmf fit` pay
+for numpy and scipy.special alone.  Each check runs in a fresh interpreter,
+since this test process has loaded scipy.stats already."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from aqmf.matrixio import write_csv_matrix
+from aqmf.synth import LaplaceNoise, make_instance
+
+ROOT = Path(__file__).resolve().parents[1]
+LAZY = ("scipy.stats", "scipy.optimize")
+
+
+def _lazy_loaded_after(code: str, cwd: Path) -> list:
+    """Which of LAZY a fresh interpreter holds after running ``code``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    probe = f"{code}\nimport sys\nprint(' '.join(m for m in {LAZY!r} if m in sys.modules))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], cwd=cwd, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+@pytest.mark.parametrize("module", ["aqmf", "aqmf.cli"])
+def test_import_loads_no_stats_or_optimize(module, tmp_path):
+    assert _lazy_loaded_after(f"import {module}", tmp_path) == []
+
+
+@pytest.mark.parametrize("method", ["aq", "cwm"])
+def test_cli_fit_loads_no_stats_or_optimize(method, tmp_path):
+    inst = make_instance(15, 10, 2, 0.2, LaplaceNoise(0.0, 0.5), seed=2)
+    write_csv_matrix(tmp_path / "data.csv", inst.observed)
+    code = (
+        "from aqmf import cli\n"
+        f"assert cli.main(['fit', '--input', 'data.csv', '--rank', '2', '--method', "
+        f"'{method}', '--max-iters', '3', '--report', 'r.json']) == 0"
+    )
+    assert _lazy_loaded_after(code, tmp_path) == []
+
+
+def test_skew_normal_sample_loads_stats_and_optimize(tmp_path):
+    build = (
+        "import numpy as np\n"
+        "from aqmf.bench import NOISE_ROWS\n"
+        "spec = NOISE_ROWS['skew_normal'][1]"
+    )
+    assert _lazy_loaded_after(build, tmp_path) == []
+    sample = build + "\nspec.sample(3, np.random.default_rng(0))"
+    assert _lazy_loaded_after(sample, tmp_path) == list(LAZY)

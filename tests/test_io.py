@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from aqmf.matrixio import (
     ParseError,
@@ -69,6 +72,79 @@ def test_csv_rejects_infinities(tmp_path):
     p.write_text("1,inf\n")
     with pytest.raises(ParseError, match="non-finite"):
         read_csv_matrix(p)
+
+
+@pytest.mark.parametrize(
+    "token, expected",
+    [
+        ("2.5", 2.5),
+        (" NaN ", None),
+        ("nan", None),
+        ("NAN", None),
+        ("\tnAn", None),
+        ("1_0", 10.0),
+        ("-0", -0.0),
+        (" -1.25e-3\t", -1.25e-3),
+        ("1e-400", 0.0),
+        ("4.9406564584124654e-324", 5e-324),
+        ("1.7976931348623157e308", 1.7976931348623157e308),
+        ("-nan", "non-finite value '-nan'"),
+        ("+NaN", "non-finite value '+NaN'"),
+        ("inf", "non-finite value 'inf'"),
+        ("-Infinity", "non-finite value '-Infinity'"),
+        ("1e400", "non-finite value '1e400'"),
+        ("x", "cannot parse 'x'"),
+        ("", "cannot parse ''"),
+        ("0x10", "cannot parse '0x10'"),
+        ("nan nan", "cannot parse 'nan nan'"),
+    ],
+)
+def test_csv_token(tmp_path, token, expected):
+    """Each token in column 2: its value bit for bit, missing (None), or the
+    exact error message."""
+    p = tmp_path / "t.csv"
+    p.write_text(f"1,{token}\n")
+    if isinstance(expected, str):
+        with pytest.raises(ParseError) as err:
+            read_csv_matrix(p)
+        assert str(err.value) == f"{p}: row 1, column 2: {expected}"
+        return
+    X = read_csv_matrix(p)
+    assert X.values.dtype == np.float64 and X.mask.dtype == bool
+    if expected is None:
+        assert X.mask.tolist() == [[True, False]]
+        assert X.values[0, 1:].tobytes() == np.array([np.nan]).tobytes()
+    else:
+        assert X.mask.tolist() == [[True, True]]
+        assert X.values[0, 1:].tobytes() == np.array([expected]).tobytes()
+
+
+def test_csv_reports_first_bad_token_in_row_order(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("1,2,3\n4,inf,x\n")
+    with pytest.raises(ParseError) as err:
+        read_csv_matrix(p)
+    assert str(err.value) == f"{p}: row 2, column 2: non-finite value 'inf'"
+    p.write_text("1,2,3\n4,x,inf\n")
+    with pytest.raises(ParseError) as err:
+        read_csv_matrix(p)
+    assert str(err.value) == f"{p}: row 2, column 2: cannot parse 'x'"
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_csv_roundtrip_with_holes_is_byte_identical(tmp_path_factory, data):
+    shape = data.draw(hnp.array_shapes(min_dims=2, max_dims=2, max_side=7))
+    values = data.draw(hnp.arrays(np.float64, shape,
+                                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+    mask = data.draw(hnp.arrays(np.bool_, shape))
+    mask.flat[data.draw(st.integers(0, mask.size - 1))] = True
+    X = MaskedMatrix(np.where(mask, values, np.nan), mask)
+    p = tmp_path_factory.mktemp("roundtrip") / "m.csv"
+    write_csv_matrix(p, X)
+    back = read_csv_matrix(p)
+    assert back.values.tobytes() == X.values.tobytes()
+    np.testing.assert_array_equal(back.mask, X.mask)
 
 
 def test_pgm_roundtrip(tmp_path):

@@ -1,5 +1,7 @@
 """Synthetic data generation: noise families, low-rank factors, masks."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -7,6 +9,7 @@ from scipy import stats
 from aqmf import synth
 from aqmf.metrics import sample_skewness
 from aqmf.synth import (
+    SKEW_NORMAL_MIN_ASYMMETRY,
     AsymmetricLaplaceNoise,
     GaussianNoise,
     LaplaceNoise,
@@ -75,6 +78,42 @@ def test_skew_normal_noise_left_mass_and_scale():
     assert np.mean(xs < 0) == pytest.approx(0.7, abs=0.01)
     d, p = stats.kstest(xs, stats.skewnorm(spec.shape, scale=3.0).cdf)
     assert p > 1e-4
+
+
+def test_skew_normal_grid_row_shape_pinned():
+    # the shape behind the grid's skew_normal row; any change to the
+    # bisection changes every skew-normal draw of the default grid
+    assert SkewNormalNoise(3.0, 0.7).shape == -0.7265425280053691
+
+
+@pytest.mark.parametrize(
+    "asymmetry",
+    [SKEW_NORMAL_MIN_ASYMMETRY, 1e-3, 0.3, 0.5, 0.7, 0.999, 1.0 - SKEW_NORMAL_MIN_ASYMMETRY],
+)
+def test_skew_normal_shape_reproduces_left_mass(asymmetry):
+    # closed form: P(X <= 0) = 1/2 - arctan(shape)/pi; check each tail
+    # relative to itself, since the small one carries the precision
+    shape = SkewNormalNoise(1.0, asymmetry).shape
+    left = 0.5 - math.atan(shape) / math.pi
+    right = 0.5 + math.atan(shape) / math.pi
+    assert left == pytest.approx(asymmetry, rel=1e-9)
+    assert right == pytest.approx(1.0 - asymmetry, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "asymmetry",
+    [
+        np.nextafter(SKEW_NORMAL_MIN_ASYMMETRY, 0.0),
+        np.nextafter(1.0 - SKEW_NORMAL_MIN_ASYMMETRY, 1.0),
+        3e-7,
+        1e-9,
+        1.0 - 1e-9,
+        float("nan"),
+    ],
+)
+def test_skew_normal_rejects_asymmetry_it_cannot_fit(asymmetry):
+    with pytest.raises(ValueError, match=r"asymmetry must lie in \[1e-06, 1 - 1e-06\]"):
+        SkewNormalNoise(1.0, asymmetry)
 
 
 def test_mixture_noise_validation_and_sampling():
