@@ -49,7 +49,7 @@ def main():
     hidden = ~observed
     genuine = observed & ~salt
     print(f"converged: {report.converged} after {report.iterations} iterations; "
-          f"{report.final_components} noise components survived")
+          f"{model.n_components} noise components survived")
     for s in range(model.n_components):
         print(f"  component {s}: weight {model.weights[s]:.3f}, "
               f"rate {model.rates[s]:.2f}, asymmetry {model.asymmetries[s]:.3f}")

@@ -8,14 +8,7 @@ adaptively weighted L1 objective.
 
 from .ald import ALParams, MoALModel
 from .bench import BenchmarkConfig, BenchmarkResult, NOISE_ROWS, run_benchmark
-from .em import (
-    BaselineReport,
-    FitOptions,
-    FitReport,
-    fit,
-    fit_l1_baseline,
-    observed_loglik,
-)
+from .em import BaselineReport, FitOptions, FitReport, fit, fit_l1_baseline
 from .matrixio import ParseError, read_csv_matrix, read_pgm, write_csv_matrix, write_pgm
 from .metrics import l1_error, l2_error, sample_skewness
 from .synth import (
@@ -29,7 +22,7 @@ from .synth import (
     make_instance,
 )
 from .types import FactorPair, MaskedMatrix
-from .wl1 import solve_wl1, weighted_median, wl1_objective
+from .wl1 import solve_wl1
 
 __version__ = "0.1.0"
 
@@ -57,14 +50,11 @@ __all__ = [
     "l1_error",
     "l2_error",
     "make_instance",
-    "observed_loglik",
     "read_csv_matrix",
     "read_pgm",
     "run_benchmark",
     "sample_skewness",
     "solve_wl1",
-    "weighted_median",
-    "wl1_objective",
     "write_csv_matrix",
     "write_pgm",
     "__version__",

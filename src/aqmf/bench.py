@@ -62,7 +62,12 @@ METHODS = ("aq", "cwm_uniform")
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
-    """Grid definition for :func:`run_benchmark`."""
+    """Grid definition for :func:`run_benchmark`.
+
+    Integer fields take Python or numpy integers, not bools, and store
+    ``int``; ``ranks``, ``noise_rows`` and ``methods`` take a list or tuple
+    and store a tuple.  A field of the wrong type raises ``ValueError``.
+    """
 
     m: int = 40
     n: int = 20
@@ -76,9 +81,27 @@ class BenchmarkConfig:
     max_iterations: int = 100
 
     def __post_init__(self):
-        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
-        object.__setattr__(self, "noise_rows", tuple(self.noise_rows))
-        object.__setattr__(self, "methods", tuple(self.methods))
+        from operator import index
+
+        def integer(name, value):
+            if not isinstance(value, bool):
+                try:
+                    return index(value)
+                except TypeError:
+                    pass
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+        for name in ("ranks", "noise_rows", "methods"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "ranks", tuple(integer("ranks entry", r) for r in self.ranks))
+        for name in ("m", "n", "replications", "master_seed", "components", "max_iterations"):
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
+        frac = self.missing_fraction
+        if isinstance(frac, bool) or not isinstance(frac, (int, float, np.integer, np.floating)):
+            raise ValueError(f"missing_fraction must be a real number, got {frac!r}")
+        object.__setattr__(self, "missing_fraction", float(frac))
         if self.m < 1 or self.n < 1:
             raise ValueError("matrix dimensions must be positive")
         if self.replications < 1:
@@ -151,8 +174,8 @@ def _run_one(inst, rank: int, method: str, fit_seed: int, cfg: BenchmarkConfig):
         opts = FitOptions(
             rank=rank, components=cfg.components, max_iterations=cfg.max_iterations
         )
-        factors, _, report = fit(inst.observed, opts, seed=fit_seed)
-        iterations, final_components = report.iterations, report.final_components
+        factors, model, report = fit(inst.observed, opts, seed=fit_seed)
+        iterations, final_components = report.iterations, model.n_components
     else:
         factors, report = fit_l1_baseline(
             inst.observed, rank, seed=fit_seed, max_sweeps=cfg.max_iterations

@@ -81,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated subset of aq,cwm_uniform")
     p_bench.add_argument("--master-seed", type=int, help="master seed (default 0)")
     p_bench.add_argument("--components", type=int, help="initial noise components (default 4)")
-    p_bench.add_argument("--max-iters", type=int, help="outer iteration budget (default 100)")
+    p_bench.add_argument("--max-iters", type=int, dest="max_iterations",
+                         help="outer iteration budget (default 100)")
     p_bench.set_defaults(func=cmd_synth_bench)
 
     p_inp = sub.add_parser("inpaint", help="reconstruct masked pixels of a PGM image")
@@ -120,7 +121,7 @@ def cmd_fit(args) -> int:
         factors, model, fit_report = fit(X, opts, seed=args.seed)
         report["iterations"] = fit_report.iterations
         report["converged"] = fit_report.converged
-        report["final_components"] = fit_report.final_components
+        report["final_components"] = model.n_components
         report["loglik_trace"] = [float(v) for v in fit_report.loglik_trace]
         report["components"] = [
             {
@@ -153,29 +154,19 @@ def cmd_fit(args) -> int:
 
 
 def _load_bench_config(args) -> BenchmarkConfig:
+    """The ``--config`` file's fields, each overridden by the flag whose
+    destination has the field's name when that flag is given."""
+    names = [f.name for f in dataclasses.fields(BenchmarkConfig)]
     fields = {}
     if args.config:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise ValueError(f"{args.config}: benchmark config must be a JSON object")
-        allowed = {f.name for f in dataclasses.fields(BenchmarkConfig)}
-        unknown = sorted(set(raw) - allowed)
+        unknown = sorted(set(raw) - set(names))
         if unknown:
             raise ValueError(f"{args.config}: unknown config keys: {', '.join(unknown)}")
         fields.update(raw)
-    overrides = {
-        "m": args.m,
-        "n": args.n,
-        "ranks": args.ranks,
-        "replications": args.replications,
-        "missing_fraction": args.missing_fraction,
-        "noise_rows": args.noise_rows,
-        "methods": args.methods,
-        "master_seed": args.master_seed,
-        "components": args.components,
-        "max_iterations": args.max_iters,
-    }
-    fields.update({k: v for k, v in overrides.items() if v is not None})
+    fields.update((k, getattr(args, k)) for k in names if getattr(args, k) is not None)
     return BenchmarkConfig(**fields)
 
 

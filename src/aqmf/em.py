@@ -52,14 +52,13 @@ class FitOptions:
 @dataclass
 class FitReport:
     """What happened during a fit: iteration count, log-likelihood trace of
-    the observed data after each iteration, surviving component count,
-    whether the fit stopped at an exact fixed point of ||U||_F (``converged``;
-    False means the iteration budget ran out) and the seed that produced it
-    all."""
+    the observed data after each iteration, whether the fit stopped at an
+    exact fixed point of ||U||_F (``converged``; False means the iteration
+    budget ran out) and the seed that produced it all.  The surviving
+    component count is the returned model's ``n_components``."""
 
     iterations: int
     loglik_trace: list = field(default_factory=list)
-    final_components: int = 0
     converged: bool = False
     seed: int = 0
 
@@ -195,12 +194,6 @@ def prune_components(gamma: np.ndarray, model: ald.MoALModel):
     return pruned, g
 
 
-def observed_loglik(X: MaskedMatrix, factors: FactorPair, model: ald.MoALModel) -> float:
-    """Total mixture log-density of the observed residuals."""
-    residuals = _observed_residuals(X, factors)
-    return float(np.sum(ald.mixture_logpdf(residuals, model)))
-
-
 def _until_fixed_point(factors: FactorPair, step, max_iterations: int):
     """Apply ``step`` to the factors until ||U||_F repeats exactly or
     ``max_iterations`` steps have run.
@@ -267,7 +260,6 @@ def fit(
     report = FitReport(
         iterations=iterations,
         loglik_trace=trace,
-        final_components=model.n_components,
         converged=converged,
         seed=seed,
     )

@@ -16,40 +16,14 @@ from .types import FactorPair, MaskedMatrix
 OBJECTIVE_TOLERANCE = 1e-6
 
 
-def weighted_median(values, weights) -> float:
-    """Exact minimizer of f(v) = sum_l weights[l] * |v - values[l]|.
-
-    The result is always one of the input values.  Ties are broken
-    deterministically: candidates are sorted ascending (stable for equal
-    values) and the first value at which the cumulative weight reaches half
-    of the total weight is returned.
-    """
-    vals = np.asarray(values, dtype=float)
-    wts = np.asarray(weights, dtype=float)
-    if vals.ndim != 1 or vals.shape != wts.shape:
-        raise ValueError("values and weights must be 1-d arrays of equal length")
-    if vals.size == 0:
-        raise ValueError("weighted median of an empty set")
-    if not np.isfinite(vals).all():
-        raise ValueError("values must be finite")
-    if not np.isfinite(wts).all() or (wts < 0).any():
-        raise ValueError("weights must be finite and nonnegative")
-    if not (wts > 0).any():
-        raise ValueError("weighted median needs at least one positive weight")
-    order = np.argsort(vals, kind="stable")
-    cum = np.cumsum(wts[order])
-    pick = int(np.argmax(cum >= 0.5 * cum[-1]))
-    return float(vals[order[pick]])
-
-
 def _column_medians(cands: np.ndarray, wts: np.ndarray):
     """Weighted median of each column of ``cands`` under column weights ``wts``.
 
     Columns whose weights are all zero are flagged False in the second return
     value and get an unspecified median.  Every other column gets the value
-    the stable rule of :func:`weighted_median` picks (ascending sort, first
-    crossing of half the total weight); order inside tied blocks and the sign
-    of a zero pick are unspecified.
+    the stable rule picks (ascending sort, first crossing of half the total
+    weight), whose scalar form is ``weighted_median`` in ``tests/oracles.py``;
+    order inside tied blocks and the sign of a zero pick are unspecified.
 
     The work runs on the transposed arrays, one contiguous row per column,
     so callers that hold row-major data pass transposed views and nothing is
@@ -66,13 +40,6 @@ def _column_medians(cands: np.ndarray, wts: np.ndarray):
     total = cum[:, -1]
     pick = (cum >= 0.5 * total[:, None]).argmax(axis=1)
     return c.take(order.take(starts + pick)), total > 0
-
-
-def wl1_objective(X: MaskedMatrix, weight_matrix: np.ndarray, factors: FactorPair) -> float:
-    """Weighted L1 residual sum over observed entries."""
-    resid = X.values - factors.product()
-    obs = X.mask
-    return float(np.sum(weight_matrix[obs] * np.abs(resid[obs])))
 
 
 def _check_weight_matrix(X: MaskedMatrix, weight_matrix) -> np.ndarray:

@@ -1,14 +1,57 @@
-"""Scalar reference implementations of the weighted-L1 factor updates.
+"""Scalar reference implementations: the weighted median, the weighted-L1
+objective, the observed-data log-likelihood and the factor updates.
 
 Shared by the unit and acceptance tests; pytest does not collect this
-module.  Every function here updates one factor entry at a time, so it is
-slow but easy to check against the definition of the objective.
+module.  The library's vectorised kernels and EM loop are checked against
+these.  Every sweep here updates one factor entry at a time, so it is slow
+but easy to check against the definition of the objective.
 """
 
 import numpy as np
 
-from aqmf.types import FactorPair
-from aqmf.wl1 import OBJECTIVE_TOLERANCE, weighted_median, wl1_objective
+from aqmf import ald
+from aqmf.em import _observed_residuals
+from aqmf.types import FactorPair, MaskedMatrix
+from aqmf.wl1 import OBJECTIVE_TOLERANCE
+
+
+def weighted_median(values, weights) -> float:
+    """Exact minimizer of f(v) = sum_l weights[l] * |v - values[l]|.
+
+    The result is always one of the input values.  Ties are broken
+    deterministically: candidates are sorted ascending (stable for equal
+    values) and the first value at which the cumulative weight reaches half
+    of the total weight is returned.
+    """
+    vals = np.asarray(values, dtype=float)
+    wts = np.asarray(weights, dtype=float)
+    if vals.ndim != 1 or vals.shape != wts.shape:
+        raise ValueError("values and weights must be 1-d arrays of equal length")
+    if vals.size == 0:
+        raise ValueError("weighted median of an empty set")
+    if not np.isfinite(vals).all():
+        raise ValueError("values must be finite")
+    if not np.isfinite(wts).all() or (wts < 0).any():
+        raise ValueError("weights must be finite and nonnegative")
+    if not (wts > 0).any():
+        raise ValueError("weighted median needs at least one positive weight")
+    order = np.argsort(vals, kind="stable")
+    cum = np.cumsum(wts[order])
+    pick = int(np.argmax(cum >= 0.5 * cum[-1]))
+    return float(vals[order[pick]])
+
+
+def wl1_objective(X: MaskedMatrix, weight_matrix: np.ndarray, factors: FactorPair) -> float:
+    """Weighted L1 residual sum over observed entries."""
+    resid = X.values - factors.product()
+    obs = X.mask
+    return float(np.sum(weight_matrix[obs] * np.abs(resid[obs])))
+
+
+def observed_loglik(X: MaskedMatrix, factors: FactorPair, model: ald.MoALModel) -> float:
+    """Total mixture log-density of the observed residuals."""
+    residuals = _observed_residuals(X, factors)
+    return float(np.sum(ald.mixture_logpdf(residuals, model)))
 
 
 def update_v_entry(j, i, X, weight_matrix, factors):

@@ -34,8 +34,8 @@ from aqmf.cli import main as cli_main
 from aqmf.em import FitOptions
 from aqmf.synth import AsymmetricLaplaceNoise, make_instance
 from aqmf.types import FactorPair, MaskedMatrix
-from aqmf.wl1 import solve_wl1, weighted_median, wl1_objective
-from oracles import relative_gap, scalar_sweep
+from aqmf.wl1 import solve_wl1
+from oracles import relative_gap, scalar_sweep, weighted_median, wl1_objective
 
 
 def _report(n: int, ok: bool, detail: str, elapsed: float) -> None:

@@ -47,6 +47,10 @@ def test_config_validation():
         BenchmarkConfig(missing_fraction=1.5)
     with pytest.raises(ValueError):
         BenchmarkConfig(ranks=())
+    # numpy integers pass and are stored as int, so the result JSON can hold them
+    cfg = BenchmarkConfig(m=np.int64(12), ranks=[np.int32(2)], missing_fraction=np.float32(0.5))
+    assert type(cfg.m) is int and type(cfg.ranks[0]) is int and cfg.ranks == (2,)
+    assert type(cfg.missing_fraction) is float
 
 
 def test_noise_rows_catalog():

@@ -168,16 +168,56 @@ def test_synth_bench_writes_result_and_timing(tmp_path, capsys):
     assert timing["schema"] == "aqmf-benchmark-timing/1"
 
 
-def test_synth_bench_flag_overrides_config(tmp_path):
+# Each synth-bench flag, a value for it, its config field and the value the
+# result JSON's config must show; the config file holds a different value.
+FLAG_OVERRIDES = [
+    ("--m", "10", "m", 10),
+    ("--n", "6", "n", 6),
+    ("--ranks", "1", "ranks", [1]),
+    ("--replications", "1", "replications", 1),
+    ("--missing-fraction", "0.3", "missing_fraction", 0.3),
+    ("--noise-rows", "gaussian", "noise_rows", ["gaussian"]),
+    ("--methods", "aq", "methods", ["aq"]),
+    ("--master-seed", "5", "master_seed", 5),
+    ("--components", "2", "components", 2),
+    ("--max-iters", "4", "max_iterations", 4),
+]
+
+
+@pytest.mark.parametrize("flag,text,field,value", FLAG_OVERRIDES,
+                         ids=[case[0] for case in FLAG_OVERRIDES])
+def test_synth_bench_flag_overrides_config(tmp_path, flag, text, field, value):
+    config = {"m": 12, "n": 8, "ranks": [2], "replications": 2, "missing_fraction": 0.2,
+              "noise_rows": ["laplace"], "methods": ["cwm_uniform"], "master_seed": 3,
+              "components": 3, "max_iterations": 10}
+    assert config[field] != value
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"m": 12, "n": 8, "ranks": [2], "replications": 2,
-                               "noise_rows": ["laplace"], "max_iterations": 10}))
+    cfg.write_text(json.dumps(config))
     out = tmp_path / "bench.json"
-    rc = main(["synth-bench", "--config", str(cfg), "--output", str(out),
-               "--replications", "1"])
+    rc = main(["synth-bench", "--config", str(cfg), "--output", str(out), flag, text])
     assert rc == 0
     payload = json.loads(out.read_text())
-    assert payload["config"]["replications"] == 1
+    assert payload["config"] == config | {field: value}
+
+
+@pytest.mark.parametrize("probe", [
+    pytest.param({"ranks": 4}, id="ranks-int"),
+    pytest.param({"m": "40"}, id="m-str"),
+    pytest.param({"replications": 1.5}, id="replications-float"),
+    pytest.param({"missing_fraction": None}, id="missing_fraction-null"),
+    pytest.param({"noise_rows": "laplace"}, id="noise_rows-str"),
+    pytest.param({"ranks": [4.7]}, id="ranks-float-entry"),
+    pytest.param({"max_iterations": True}, id="max_iterations-bool"),
+])
+def test_synth_bench_rejects_mistyped_config_field(tmp_path, capsys, probe):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(probe))
+    out = tmp_path / "o.json"
+    rc = main(["synth-bench", "--config", str(cfg), "--output", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {next(iter(probe))} "), err
+    assert not out.exists()
 
 
 def test_synth_bench_rejects_unknown_config_key(tmp_path, capsys):

@@ -1,8 +1,13 @@
-"""The package's import path: scipy.stats and scipy.optimize load only when a
-skew-normal noise spec first needs them, so `import aqmf` and `aqmf fit` pay
-for numpy and scipy.special alone.  Each check runs in a fresh interpreter,
-since this test process has loaded scipy.stats already."""
+"""The package's import path and public surface.
 
+scipy.stats and scipy.optimize load only when a skew-normal noise spec first
+needs them, so `import aqmf` and `aqmf fit` pay for numpy and scipy.special
+alone.  Each of those checks runs in a fresh interpreter, since this test
+process has loaded scipy.stats already.  A static check over the library's
+source stands in for a linter: no module imports a name it never uses, and
+`aqmf.__all__` names each public object once and no test oracle."""
+
+import ast
 import os
 import subprocess
 import sys
@@ -10,11 +15,14 @@ from pathlib import Path
 
 import pytest
 
+import aqmf
+from aqmf import em, wl1
 from aqmf.matrixio import write_csv_matrix
 from aqmf.synth import LaplaceNoise, make_instance
 
 ROOT = Path(__file__).resolve().parents[1]
 LAZY = ("scipy.stats", "scipy.optimize")
+ORACLES = ("observed_loglik", "weighted_median", "wl1_objective")  # tests/oracles.py
 
 
 def _lazy_loaded_after(code: str, cwd: Path) -> list:
@@ -58,3 +66,30 @@ def test_skew_normal_sample_loads_stats_and_optimize(tmp_path):
     assert _lazy_loaded_after(build, tmp_path) == []
     sample = build + "\nspec.sample(3, np.random.default_rng(0))"
     assert _lazy_loaded_after(sample, tmp_path) == list(LAZY)
+
+
+def _unused_imports(path: Path) -> list:
+    """``file:line: name`` for each name the module binds by an import
+    statement, at any depth, and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in bound.items() if name not in read]
+
+
+def test_public_surface_has_no_unused_imports_or_stray_names():
+    modules = sorted((ROOT / "src" / "aqmf").glob("*.py"))
+    assert len(modules) > 1
+    unused = [u for p in modules if p.name != "__init__.py" for u in _unused_imports(p)]
+    assert unused == []
+    names = aqmf.__all__
+    assert len(names) == len(set(names)), sorted(n for n in set(names) if names.count(n) > 1)
+    assert [n for n in names if not hasattr(aqmf, n)] == []
+    assert set(ORACLES).isdisjoint(names)
+    assert not any(hasattr(mod, n) for mod in (aqmf, em, wl1) for n in ORACLES)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from aqmf import wl1
 from aqmf.types import FactorPair, MaskedMatrix
-from aqmf.wl1 import solve_wl1, weighted_median, wl1_objective
-from oracles import dense_sweep, relative_gap, scalar_sweep
+from aqmf.wl1 import solve_wl1
+from oracles import dense_sweep, relative_gap, scalar_sweep, weighted_median, wl1_objective
 
 
 def brute_force_median(values, weights):
