@@ -41,9 +41,16 @@ class ALParams:
             raise ValueError(f"asymmetry must lie in (0, 1), got {self.asymmetry}")
 
 
-def _tilt(x: np.ndarray, params: ALParams) -> np.ndarray:
-    """Slope multiplier t(x): asymmetry right of the location, 1 - asymmetry left."""
-    return np.where(x >= params.location, params.asymmetry, 1.0 - params.asymmetry)
+def tilt(d, asymmetry):
+    """Slope t at signed distance ``d`` from the location: ``asymmetry``
+    where d >= 0, ``1 - asymmetry`` where d < 0.  It is also the check-loss
+    slope rho_k in the factor step's weights.  Arguments broadcast."""
+    return np.where(d >= 0.0, asymmetry, 1.0 - asymmetry)
+
+
+def _log_density(d, rate, asymmetry):
+    const = np.log(rate) + np.log(asymmetry) + np.log1p(-asymmetry)
+    return const - np.abs(d) * rate * tilt(d, asymmetry)
 
 
 def pdf(x, params: ALParams):
@@ -54,20 +61,16 @@ def pdf(x, params: ALParams):
     x : scalar or array_like
     params : ALParams
     """
-    xa = np.asarray(x, dtype=float)
+    d = np.asarray(x, dtype=float) - params.location
     k = params.asymmetry
-    out = params.rate * k * (1.0 - k) * np.exp(
-        -np.abs(xa - params.location) * params.rate * _tilt(xa, params)
-    )
+    out = params.rate * k * (1.0 - k) * np.exp(-np.abs(d) * params.rate * tilt(d, k))
     return float(out) if np.isscalar(x) else out
 
 
 def logpdf(x, params: ALParams):
     """Log-density; stable for arguments far into either tail."""
-    xa = np.asarray(x, dtype=float)
-    k = params.asymmetry
-    const = np.log(params.rate) + np.log(k) + np.log1p(-k)
-    out = const - np.abs(xa - params.location) * params.rate * _tilt(xa, params)
+    d = np.asarray(x, dtype=float) - params.location
+    out = _log_density(d, params.rate, params.asymmetry)
     return float(out) if np.isscalar(x) else out
 
 
@@ -155,23 +158,20 @@ def component_logpdfs(x, model: MoALModel) -> np.ndarray:
     s alone evaluated at every point.
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))[:, None]
-    k = model.asymmetries[None, :]
-    r = model.rates[None, :]
-    tilt = np.where(xa >= 0.0, k, 1.0 - k)
-    return np.log(model.rates) + np.log(model.asymmetries) + np.log1p(
-        -model.asymmetries
-    ) - np.abs(xa) * r * tilt
+    return _log_density(xa, model.rates, model.asymmetries)
 
 
-def _log_weights(model: MoALModel) -> np.ndarray:
+def mixture_logits(x, model: MoALModel) -> np.ndarray:
+    """log w_s + log AL_s(x_i), shape (len(x), S): their log-sum-exp over s
+    is the mixture log-density, their softmax the posterior responsibilities.
+    A zero mixing weight gives a column of -inf."""
     with np.errstate(divide="ignore"):
-        return np.log(model.weights)
+        return component_logpdfs(x, model) + np.log(model.weights)
 
 
 def mixture_logpdf(x, model: MoALModel):
     """Log-density of the mixture, evaluated by log-sum-exp over components."""
-    logits = component_logpdfs(x, model) + _log_weights(model)[None, :]
-    out = logsumexp(logits, axis=1)
+    out = logsumexp(mixture_logits(x, model), axis=1)
     return float(out[0]) if np.isscalar(x) else out
 
 

@@ -26,6 +26,7 @@ from .synth import (
     StudentTNoise,
     make_instance,
 )
+from .types import as_integer
 
 # The eight stock noise rows of the synthetic study, in table order.
 NOISE_ROWS = {
@@ -81,23 +82,13 @@ class BenchmarkConfig:
     max_iterations: int = 100
 
     def __post_init__(self):
-        from operator import index
-
-        def integer(name, value):
-            if not isinstance(value, bool):
-                try:
-                    return index(value)
-                except TypeError:
-                    pass
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-
         for name in ("ranks", "noise_rows", "methods"):
             if not isinstance(getattr(self, name), (list, tuple)):
                 raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        object.__setattr__(self, "ranks", tuple(integer("ranks entry", r) for r in self.ranks))
+        object.__setattr__(self, "ranks", tuple(as_integer("ranks entry", r) for r in self.ranks))
         for name in ("m", "n", "replications", "master_seed", "components", "max_iterations"):
-            object.__setattr__(self, name, integer(name, getattr(self, name)))
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         frac = self.missing_fraction
         if isinstance(frac, bool) or not isinstance(frac, (int, float, np.integer, np.floating)):
             raise ValueError(f"missing_fraction must be a real number, got {frac!r}")
@@ -124,10 +115,7 @@ class BenchmarkConfig:
         for meth in self.methods:
             if meth not in METHODS:
                 raise ValueError(f"unknown method {meth!r} (known: {', '.join(METHODS)})")
-        if self.components < 1:
-            raise ValueError("components must be at least 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        FitOptions(self.ranks[0], self.components, self.max_iterations)  # the fit's own checks
 
 
 @dataclass

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ald
-from .types import FactorPair, MaskedMatrix
+from .types import FactorPair, MaskedMatrix, as_integer
 from .wl1 import solve_wl1
 
 
@@ -30,10 +30,11 @@ class FitOptions:
 
     ``rank`` is the factorization rank and is required.  ``components`` is
     the number of noise components before pruning.  ``max_iterations``
-    bounds the outer EM iterations.  The rate cap, the asymmetry cut-off and
-    the inner sweep budget are the module constants ``LAMBDA_MAX``,
-    ``ETA_EPSILON`` and ``INNER_SWEEPS``; the inner stopping tolerance is
-    ``wl1.OBJECTIVE_TOLERANCE``.
+    bounds the outer EM iterations.  All three take Python or numpy
+    integers, not bools or floats, and store ``int``; any other type raises
+    ``ValueError``.  The rate cap, the asymmetry cut-off and the inner sweep
+    budget are the module constants ``LAMBDA_MAX``, ``ETA_EPSILON`` and
+    ``INNER_SWEEPS``; the inner stopping tolerance is ``wl1.OBJECTIVE_TOLERANCE``.
     """
 
     rank: int
@@ -41,6 +42,8 @@ class FitOptions:
     max_iterations: int = 100
 
     def __post_init__(self):
+        for name in ("rank", "components", "max_iterations"):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
         if self.components < 1:
@@ -111,8 +114,7 @@ def _responsibilities(
     """Posterior component responsibilities, one row per residual, given
     ``log_density = ald.mixture_logpdf(residuals, model)``, which the caller
     can reuse for the log-likelihood."""
-    logits = ald.component_logpdfs(residuals, model) + ald._log_weights(model)[None, :]
-    return np.exp(logits - log_density[:, None])
+    return np.exp(ald.mixture_logits(residuals, model) - log_density[:, None])
 
 
 def update_pi(gamma: np.ndarray) -> np.ndarray:
@@ -121,11 +123,10 @@ def update_pi(gamma: np.ndarray) -> np.ndarray:
 
 
 def rho_matrix(residuals: np.ndarray, asymmetries: np.ndarray) -> np.ndarray:
-    """Check-function slopes, shape (N, S): component asymmetry k_s on
-    nonnegative residuals and 1 - k_s on negative ones."""
+    """Check-function slopes ``ald.tilt`` of each residual under each
+    component asymmetry, shape (N, S)."""
     e = np.asarray(residuals, dtype=float)[:, None]
-    k = np.asarray(asymmetries, dtype=float)[None, :]
-    return np.where(e >= 0.0, k, 1.0 - k)
+    return ald.tilt(e, np.asarray(asymmetries, dtype=float))
 
 
 def update_lambda(gamma: np.ndarray, residuals: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -277,7 +278,10 @@ def fit_l1_baseline(
     Shares the factor initialization of :func:`fit` (identical draws for the
     same seed) and its stopping rule, one weighted-median sweep per step, so
     results are directly comparable against the mixture-weighted method.
+    ``rank`` and ``max_sweeps`` must be integers, as in :class:`FitOptions`.
     """
+    rank = as_integer("rank", rank)
+    max_sweeps = as_integer("max_sweeps", max_sweeps)
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be at least 1")
     rng = np.random.default_rng(seed)

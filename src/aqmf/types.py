@@ -1,10 +1,22 @@
-"""Array containers shared by the solvers and generators."""
+"""Array containers and the integer check shared by the library's modules."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
+
+
+def as_integer(name: str, value) -> int:
+    """``value`` as an ``int`` if it is a Python or numpy integer; anything
+    else, bools included, raises ``ValueError`` naming ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _as_float_matrix(a, name: str) -> np.ndarray:

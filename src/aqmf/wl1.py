@@ -17,29 +17,24 @@ OBJECTIVE_TOLERANCE = 1e-6
 
 
 def _column_medians(cands: np.ndarray, wts: np.ndarray):
-    """Weighted median of each column of ``cands`` under column weights ``wts``.
+    """Weighted median of each row of ``cands`` under row weights ``wts``.
 
-    Columns whose weights are all zero are flagged False in the second return
-    value and get an unspecified median.  Every other column gets the value
-    the stable rule picks (ascending sort, first crossing of half the total
-    weight), whose scalar form is ``weighted_median`` in ``tests/oracles.py``;
-    order inside tied blocks and the sign of a zero pick are unspecified.
-
-    The work runs on the transposed arrays, one contiguous row per column,
-    so callers that hold row-major data pass transposed views and nothing is
-    copied.  Sort positions are turned into flat indices once; they gather
-    the weights and then pick each median straight from ``cands``.
+    One call updates one factor column, one entry per row.  Rows whose
+    weights are all zero are flagged False in the second return value and
+    get an unspecified median.  Every other row gets the value the stable
+    rule picks (ascending sort, first crossing of half the total weight),
+    whose scalar form is ``weighted_median`` in ``tests/oracles.py``; order
+    inside tied blocks and the sign of a zero pick are unspecified.  Sort
+    positions are turned into flat indices once; they gather the weights and
+    then pick each median straight from ``cands``.
     """
-    c = np.ascontiguousarray(cands.T)
-    w = np.ascontiguousarray(wts.T)
-    rows, length = c.shape
-    starts = np.arange(0, rows * length, length)
-    order = c.argsort(axis=1)
+    starts = np.arange(0, cands.size, cands.shape[1])
+    order = cands.argsort(axis=1)
     order += starts[:, None]
-    cum = np.add.accumulate(w.take(order), axis=1)
+    cum = np.add.accumulate(wts.take(order), axis=1)
     total = cum[:, -1]
     pick = (cum >= 0.5 * total[:, None]).argmax(axis=1)
-    return c.take(order.take(starts + pick)), total > 0
+    return cands.take(order.take(starts + pick)), total > 0
 
 
 def _check_weight_matrix(X: MaskedMatrix, weight_matrix) -> np.ndarray:
@@ -77,7 +72,7 @@ def _factor_pass(R, W, fixed_at, fixed, moving):
         E = R + g[:, None] * f
         wts = W * np.abs(f)
         cands = np.where(wts > 0, E / f, 0.0)
-        med, live = _column_medians(cands.T, wts.T)
+        med, live = _column_medians(cands, wts)
         new = np.where(live, med, g)
         moving[:, i] = new
         R = E - new[:, None] * f

@@ -157,6 +157,15 @@ def test_component_logpdfs_shape_and_values():
     table = ald.component_logpdfs(xs, m)
     assert table.shape == (3, 2)
     assert table[2, 0] == pytest.approx(ald.logpdf(2.0, ALParams(0.0, 1.0, 0.5)))
+    # each column is the single-component log-density, bit for bit, on both
+    # sides of the mode, at either signed zero and far into both tails
+    m = MoALModel(weights=[0.2, 0.3, 0.5], rates=[1.0, 2.5, 0.01],
+                  asymmetries=[0.5, 0.1, 0.97])
+    xs = np.array([-1e300, -3e5, -7.25, -1.0, -1e-310, -0.0, 0.0, 1e-310, 0.4, 12.0, 1e300])
+    table = ald.component_logpdfs(xs, m)
+    for s in range(3):
+        single = ald.logpdf(xs, ALParams(0.0, float(m.rates[s]), float(m.asymmetries[s])))
+        assert np.array_equal(table[:, s], single)
 
 
 def test_mixture_logpdf_zero_weight_component():

@@ -76,6 +76,21 @@ def test_fit_zero_iteration_budget_exits_1(small_csv, tmp_path, capsys, method):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("method, key", [("aq", "iterations"), ("cwm", "sweeps")])
+def test_fit_max_iters_is_an_integer_budget(small_csv, tmp_path, capsys, method, key):
+    report = tmp_path / "r.json"
+    args = ["fit", "--input", str(small_csv), "--rank", "2", "--method", method,
+            "--report", str(report), "--max-iters"]
+    assert main(args + ["2"]) == 0
+    payload = json.loads(report.read_text())
+    assert payload["config"]["max_iters"] == 2 and payload[key] == 2
+    report.unlink()
+    for bad in ("2.5", "True"):
+        assert main(args + [bad]) == 1
+        assert "invalid int value" in capsys.readouterr().err
+        assert not report.exists()
+
+
 def test_fit_deterministic_given_seed(small_csv, tmp_path):
     outs = []
     for name in ("a.json", "b.json"):

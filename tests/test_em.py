@@ -288,3 +288,27 @@ def test_fit_options_validation():
         FitOptions(rank=2, components=0)
     with pytest.raises(ValueError):
         FitOptions(rank=2, max_iterations=0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("rank", 2.5), ("rank", True), ("rank", "2"), ("rank", np.float64(2.0)),
+    ("components", 3.0), ("max_iterations", 2.5), ("max_iterations", False),
+])
+def test_fit_options_reject_non_integers(name, value):
+    # a float budget used to run ceil(budget) iterations, and a float rank
+    # failed inside numpy with a bare TypeError
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        FitOptions(**{"rank": 2, name: value})
+
+
+def test_fit_options_store_numpy_integers_as_int():
+    opts = FitOptions(rank=np.int64(2), components=np.int32(3), max_iterations=np.uint8(5))
+    assert (opts.rank, opts.components, opts.max_iterations) == (2, 3, 5)
+    assert all(type(v) is int for v in (opts.rank, opts.components, opts.max_iterations))
+
+
+@pytest.mark.parametrize("rank, max_sweeps", [(1, True), (1, 2.5), (1.0, 2), (True, 2)])
+def test_baseline_rejects_non_integer_rank_or_budget(rank, max_sweeps):
+    X = make_instance(15, 10, 1, 0.0, None, seed=6).observed
+    with pytest.raises(ValueError, match="must be an integer"):
+        em.fit_l1_baseline(X, rank, max_sweeps=max_sweeps)

@@ -3,8 +3,9 @@
 scipy.stats and scipy.optimize load only when a skew-normal noise spec first
 needs them, so `import aqmf` and `aqmf fit` pay for numpy and scipy.special
 alone.  Each of those checks runs in a fresh interpreter, since this test
-process has loaded scipy.stats already.  A static check over the library's
-source stands in for a linter: no module imports a name it never uses, and
+process has loaded scipy.stats already.  Static checks over the library's
+source stand in for a linter: no module imports a name it never uses or
+reads another library module's underscore-prefixed name, and
 `aqmf.__all__` names each public object once and no test oracle."""
 
 import ast
@@ -93,3 +94,34 @@ def test_public_surface_has_no_unused_imports_or_stray_names():
     assert [n for n in names if not hasattr(aqmf, n)] == []
     assert set(ORACLES).isdisjoint(names)
     assert not any(hasattr(mod, n) for mod in (aqmf, em, wl1) for n in ORACLES)
+
+
+def _private_reads(path: Path, library: set) -> list:
+    """``file:line: module._name`` for each underscore-prefixed name the
+    module takes from another library module (one of ``library``), as an
+    attribute of the module or by a ``from ... import``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "aqmf"
+        ):
+            source = (node.module or "").rpartition(".")[2]
+            for alias in node.names:
+                if source in ("", "aqmf") and alias.name in library:
+                    bound.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    found.append(f"{path.name}:{node.lineno}: {source}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            found.append(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    modules = sorted((ROOT / "src" / "aqmf").glob("*.py"))
+    library = {p.stem for p in modules}
+    assert {"ald", "em", "wl1"} <= library
+    assert [r for p in modules for r in _private_reads(p, library)] == []

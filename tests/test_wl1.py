@@ -63,23 +63,23 @@ def test_weighted_median_minimizes_objective(vals, seed):
 
 def test_column_medians_match_scalar_calls():
     rng = np.random.default_rng(3)
-    cands = rng.normal(size=(7, 5))
-    wts = rng.uniform(0, 2, size=(7, 5))
-    wts[:, 2] = 0.0  # dead column stays untouched
+    cands = rng.normal(size=(5, 7))
+    wts = rng.uniform(0, 2, size=(5, 7))
+    wts[2] = 0.0  # dead row stays untouched
     med, live = wl1._column_medians(cands, wts)
-    for j in range(5):
-        if live[j]:
-            assert med[j] == weighted_median(cands[:, j], wts[:, j])
-        else:
-            assert j == 2
-    # the solver passes transposed (not C-contiguous) views of row-major data
-    rows = np.round(rng.normal(size=(5, 9)), 1)  # ties likely
-    row_wts = rng.uniform(0, 2, size=(5, 9))
-    assert not rows.T.flags.c_contiguous
-    med_r, live_r = wl1._column_medians(rows.T, row_wts.T)
-    assert live_r.all()
     for k in range(5):
-        assert med_r[k] == weighted_median(rows[k], row_wts[k])
+        if live[k]:
+            assert med[k] == weighted_median(cands[k], wts[k])
+        else:
+            assert k == 2
+    # non-contiguous views (here transposes of column-major data) need no copy
+    cols = np.round(rng.normal(size=(9, 5)), 1)  # ties likely
+    col_wts = rng.uniform(0, 2, size=(9, 5))
+    assert not cols.T.flags.c_contiguous
+    med_c, live_c = wl1._column_medians(cols.T, col_wts.T)
+    assert live_c.all()
+    for k in range(5):
+        assert med_c[k] == weighted_median(cols[:, k], col_wts[:, k])
 
 
 @given(data=st.data())
@@ -96,7 +96,7 @@ def test_column_medians_match_scalar_calls_under_ties(data):
     negative = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)))
     cands[(cands == 0) & negative.reshape(rows, length)] = -0.0
     wts = np.abs(np.array(data.draw(ints), dtype=float)).reshape(rows, length)
-    med, live = wl1._column_medians(cands.T, wts.T)
+    med, live = wl1._column_medians(cands, wts)
     for k in range(rows):
         assert live[k] == (wts[k] > 0).any()
         if live[k]:
