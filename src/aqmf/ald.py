@@ -175,16 +175,23 @@ def mixture_logpdf(x, model: MoALModel):
     return float(out[0]) if np.isscalar(x) else out
 
 
-def mixture_sample(n: int, model: MoALModel, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``n`` variates: pick components by weight, then sample each group."""
+def draw_mixture(n: int, weights, draw, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``n`` variates from a finite mixture: pick each variate's
+    component by ``weights``, then fill the groups in component order, group
+    s with ``draw(s, count)``, which returns ``count`` variates of component s."""
     if n < 0:
         raise ValueError("sample size must be nonnegative")
-    idx = rng.choice(model.n_components, size=n, p=model.weights)
+    idx = rng.choice(len(weights), size=n, p=weights)
     out = np.empty(n)
-    for s in range(model.n_components):
+    for s in range(len(weights)):
         sel = idx == s
         cnt = int(sel.sum())
         if cnt:
-            p = ALParams(0.0, float(model.rates[s]), float(model.asymmetries[s]))
-            out[sel] = sample(cnt, p, rng)
+            out[sel] = draw(s, cnt)
     return out
+
+
+def mixture_sample(n: int, model: MoALModel, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``n`` variates: pick components by weight, then sample each group."""
+    params = [ALParams(0.0, float(r), float(k)) for r, k in zip(model.rates, model.asymmetries)]
+    return draw_mixture(n, model.weights, lambda s, count: sample(count, params[s], rng), rng)

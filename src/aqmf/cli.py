@@ -17,7 +17,7 @@ import numpy as np
 
 from . import jsonfmt
 from .bench import BenchmarkConfig, render_table, result_to_json, run_benchmark, timing_to_json
-from .em import FitOptions, fit, fit_l1_baseline
+from .em import FitOptions, fit, fit_l1_baseline, observed_residuals
 from .matrixio import read_csv_matrix, read_pgm, write_csv_matrix, write_pgm
 from .types import MaskedMatrix
 
@@ -137,7 +137,7 @@ def cmd_fit(args) -> int:
         )
         report["sweeps"] = base_report.sweeps
         report["converged"] = base_report.converged
-    resid = (X.values - factors.product())[X.mask]
+    resid = observed_residuals(X, factors)
     report["observed_l1"] = float(np.mean(np.abs(resid)))
     report["observed_l2"] = float(np.sqrt(np.mean(resid * resid)))
     if args.output_u:
@@ -195,7 +195,7 @@ def cmd_inpaint(args) -> int:
     factors, _, fit_report = fit(X, opts, seed=args.seed)
     recon = np.clip(factors.product(), 0.0, 1.0)
     write_pgm(args.output, recon)
-    resid = (X.values - factors.product())[X.mask]
+    resid = observed_residuals(X, factors)
     print(
         f"inpaint: wrote {args.output} "
         f"(observed L1 {float(np.mean(np.abs(resid))):.6g}, "

@@ -103,9 +103,10 @@ def init_model(components: int, rng: np.random.Generator) -> ald.MoALModel:
     return ald.MoALModel(raw / raw.sum(), rates, asym)
 
 
-def _observed_residuals(X: MaskedMatrix, factors: FactorPair) -> np.ndarray:
-    resid = X.values - factors.product()
-    return resid[X.mask]
+def observed_residuals(X: MaskedMatrix, factors: FactorPair) -> np.ndarray:
+    """Residuals x - (U V^T) of the observed entries, in the row-major order
+    of ``X.observed_values()``."""
+    return (X.values - factors.product())[X.mask]
 
 
 def _responsibilities(
@@ -161,21 +162,16 @@ def update_kappa(gamma: np.ndarray, residuals: np.ndarray, rates: np.ndarray) ->
 
 
 def compute_weights(
-    X: MaskedMatrix,
     gamma: np.ndarray,
     model: ald.MoALModel,
     residuals: np.ndarray,
 ) -> np.ndarray:
-    """Entry weights for the inner weighted-L1 problem.
-
-    Observed entries get sum_s rate_s * gamma_s * rho_s; unobserved entries
-    get exactly zero.
+    """Weights of the inner weighted-L1 problem, sum_s rate_s * gamma_s *
+    rho_s, one per observed residual in the order of ``residuals``: the
+    vector ``solve_wl1`` takes.
     """
     rho = rho_matrix(residuals, model.asymmetries)
-    w = (gamma * rho * model.rates[None, :]).sum(axis=1)
-    out = np.zeros(X.shape)
-    out[X.mask] = w
-    return out
+    return (gamma * rho * model.rates[None, :]).sum(axis=1)
 
 
 def prune_components(gamma: np.ndarray, model: ald.MoALModel):
@@ -234,7 +230,7 @@ def fit(
     rng = np.random.default_rng(seed)
     factors = init_factors(X, options.rank, rng)
     model = init_model(options.components, rng)
-    residuals = _observed_residuals(X, factors)
+    residuals = observed_residuals(X, factors)
     gamma = _responsibilities(residuals, model, ald.mixture_logpdf(residuals, model))
     trace: list[float] = []
 
@@ -246,9 +242,9 @@ def fit(
         asym = update_kappa(gamma, residuals, rates)
         model = ald.MoALModel(weights, rates, asym)
         gamma = _responsibilities(residuals, model, ald.mixture_logpdf(residuals, model))
-        W = compute_weights(X, gamma, model, residuals)
-        factors = solve_wl1(X, W, factors, INNER_SWEEPS)
-        residuals = _observed_residuals(X, factors)
+        w = compute_weights(gamma, model, residuals)
+        factors = solve_wl1(X, w, factors, INNER_SWEEPS)
+        residuals = observed_residuals(X, factors)
         log_density = ald.mixture_logpdf(residuals, model)
         gamma = _responsibilities(residuals, model, log_density)
         trace.append(float(np.sum(log_density)))
@@ -286,8 +282,8 @@ def fit_l1_baseline(
         raise ValueError("max_sweeps must be at least 1")
     rng = np.random.default_rng(seed)
     factors = init_factors(X, rank, rng)
-    W = X.mask.astype(float)
+    w = np.ones(X.n_observed)
     factors, sweeps, converged = _until_fixed_point(
-        factors, lambda f: solve_wl1(X, W, f, max_sweeps=1), max_sweeps
+        factors, lambda f: solve_wl1(X, w, f, max_sweeps=1), max_sweeps
     )
     return factors, BaselineReport(sweeps=sweeps, converged=converged, seed=seed)

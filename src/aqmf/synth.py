@@ -135,15 +135,8 @@ class MixtureNoise:
         object.__setattr__(self, "components", comps)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        probs = [p for p, _ in self.components]
-        idx = rng.choice(len(self.components), size=n, p=probs)
-        out = np.empty(n)
-        for s, (_, spec) in enumerate(self.components):
-            sel = idx == s
-            cnt = int(sel.sum())
-            if cnt:
-                out[sel] = spec.sample(cnt, rng)
-        return out
+        probs, specs = zip(*self.components)
+        return ald.draw_mixture(n, probs, lambda s, count: specs[s].sample(count, rng), rng)
 
 
 NoiseSpec = Union[

@@ -1,16 +1,17 @@
 """Weighted-L1 matrix factorization by cyclic weighted medians.
 
-Minimizes sum_ij w_ij |x_ij - (U V^T)_ij| over the factor pair one scalar
-entry at a time.  With every other entry held fixed the problem in a single
-entry is piecewise linear in one variable, and its exact minimizer is a
-weighted median of residual ratios, so the objective never increases.
+Minimizes sum_ij w_ij |x_ij - (U V^T)_ij| over the observed entries (i, j),
+one weight each, by changing the factor pair one scalar entry at a time.
+With every other entry held fixed the problem in a single entry is piecewise
+linear in one variable, and its exact minimizer is a weighted median of
+residual ratios, so the objective never increases.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .types import FactorPair, MaskedMatrix
+from .types import FactorPair, MaskedMatrix, as_integer
 
 # A solve stops once a sweep lowers the objective by less than this fraction.
 OBJECTIVE_TOLERANCE = 1e-6
@@ -35,17 +36,6 @@ def _column_medians(cands: np.ndarray, wts: np.ndarray):
     total = cum[:, -1]
     pick = (cum >= 0.5 * total[:, None]).argmax(axis=1)
     return cands.take(order.take(starts + pick)), total > 0
-
-
-def _check_weight_matrix(X: MaskedMatrix, weight_matrix) -> np.ndarray:
-    W = np.asarray(weight_matrix, dtype=float)
-    if W.shape != X.shape:
-        raise ValueError(f"weight matrix shape {W.shape} does not match data {X.shape}")
-    if not np.isfinite(W[X.mask]).all() or (W[X.mask] < 0).any():
-        raise ValueError("weights on observed entries must be finite and nonnegative")
-    if W[~X.mask].any():
-        raise ValueError("weights on unobserved entries must be zero")
-    return W
 
 
 def _row_layout(mask):
@@ -81,11 +71,16 @@ def _factor_pass(R, W, fixed_at, fixed, moving):
 
 def solve_wl1(
     X: MaskedMatrix,
-    weight_matrix,
+    weights,
     factors: FactorPair,
     max_sweeps: int = 10,
 ) -> FactorPair:
     """Run cyclic weighted-median sweeps from a warm start.
+
+    ``weights`` holds one finite, nonnegative weight per observed entry of X,
+    in the row-major order of ``X.observed_values()``, shape
+    ``(X.n_observed,)``; unobserved entries carry no weight.  ``max_sweeps``
+    is an integer of at least 1, not a bool or a float.
 
     One sweep updates every entry of V (column by column of X, factor by
     factor), then every entry of U (row by row, factor by factor).  Entries
@@ -110,13 +105,17 @@ def solve_wl1(
     solves must reproduce its factors.  A dense reference that sorts every
     entry of each row and column must give equal factors.
     """
+    max_sweeps = as_integer("max_sweeps", max_sweeps)
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be at least 1")
-    W = _check_weight_matrix(X, weight_matrix)
+    w_obs = np.asarray(weights, dtype=float)
+    if w_obs.shape != (X.n_observed,):
+        raise ValueError(f"weights must have shape ({X.n_observed},), got {w_obs.shape}")
+    if not np.isfinite(w_obs).all() or (w_obs < 0).any():
+        raise ValueError("weights must be finite and nonnegative")
     U = factors.u.copy()
     V = factors.v.copy()
     obs = X.mask
-    w_obs = W[obs]
     values = X.values
 
     def objective(resid):
@@ -125,6 +124,8 @@ def solve_wl1(
     # The V pass runs over the columns of X, the U pass over its rows.  Each
     # holds its residual and weights at flat positions of X in compact slots.
     m, n = obs.shape
+    W = np.zeros(m * n)
+    W[obs.ravel()] = w_obs
     v_row = _row_layout(obs.T)
     v_at = v_row * n + np.arange(n)[:, None]
     u_col = _row_layout(obs)

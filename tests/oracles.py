@@ -10,7 +10,7 @@ but easy to check against the definition of the objective.
 import numpy as np
 
 from aqmf import ald
-from aqmf.em import _observed_residuals
+from aqmf.em import observed_residuals
 from aqmf.types import FactorPair, MaskedMatrix
 from aqmf.wl1 import OBJECTIVE_TOLERANCE
 
@@ -50,7 +50,7 @@ def wl1_objective(X: MaskedMatrix, weight_matrix: np.ndarray, factors: FactorPai
 
 def observed_loglik(X: MaskedMatrix, factors: FactorPair, model: ald.MoALModel) -> float:
     """Total mixture log-density of the observed residuals."""
-    residuals = _observed_residuals(X, factors)
+    residuals = observed_residuals(X, factors)
     return float(np.sum(ald.mixture_logpdf(residuals, model)))
 
 

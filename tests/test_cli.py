@@ -8,7 +8,7 @@ import pytest
 
 from aqmf.cli import main
 from aqmf.matrixio import read_csv_matrix, read_pgm, write_csv_matrix, write_pgm
-from aqmf.synth import LaplaceNoise, make_instance
+from aqmf.synth import AsymmetricLaplaceNoise, LaplaceNoise, make_instance
 from aqmf.types import MaskedMatrix
 
 
@@ -118,6 +118,36 @@ def test_fit_report_does_not_depend_on_input_directory(small_csv, tmp_path, monk
     config = json.loads(reports[0].read_text())["config"]
     assert config["input"] == "data.csv"
     assert config["input_sha256"] == hashlib.sha256(small_csv.read_bytes()).hexdigest()
+
+
+# SHA-256 over U, V, the report and stdout of one `aqmf fit` run on
+# make_instance(60, 25, 3, 0.2, AsymmetricLaplaceNoise(1.0, 0.7), seed=5).
+# At 100 iterations `aq` converges in 54 and `cwm` uses all 100 sweeps.  A
+# change that moves one must say which numbers change and why.
+FIT_OUTPUT_SHA256 = {
+    ("aq", 3): "93bb8f5fe00c0e1040c3bc4ebace829af93b1df97c5e1ab8d821aa79dff3b6a6",
+    ("aq", 100): "e69655818b1b418f8c9898d399777775f73de332f986e2df633d552585552c0a",
+    ("cwm", 3): "ea578b4a55966837953a70a8e8f8d6be93bf89aa43bfa58dd49ebb65814af684",
+    ("cwm", 100): "6a58084fe888c1c8745436e16db4a8083ea0717d891eb34e97789eae80fe6ba5",
+}
+
+
+@pytest.mark.parametrize("method, iters", sorted(FIT_OUTPUT_SHA256))
+def test_fit_output_bytes_are_pinned(tmp_path, capsys, method, iters):
+    inst = make_instance(60, 25, 3, 0.2, AsymmetricLaplaceNoise(1.0, 0.7), seed=5)
+    data = tmp_path / "data.csv"
+    write_csv_matrix(data, inst.observed)
+    outputs = [tmp_path / name for name in ("u.csv", "v.csv", "report.json")]
+    capsys.readouterr()
+    rc = main(["fit", "--input", str(data), "--rank", "3", "--method", method,
+               "--max-iters", str(iters), "--output-u", str(outputs[0]),
+               "--output-v", str(outputs[1]), "--report", str(outputs[2])])
+    assert rc == 0
+    digest = hashlib.sha256()
+    for path in outputs:
+        digest.update(path.read_bytes())
+    digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == FIT_OUTPUT_SHA256[method, iters]
 
 
 def test_fit_missing_input_is_io_error(tmp_path, capsys):

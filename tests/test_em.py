@@ -111,17 +111,16 @@ def test_e_step_matches_bruteforce_posterior():
         np.testing.assert_allclose(gamma[idx], dens / dens.sum(), rtol=1e-10)
 
 
-def test_compute_weights_zero_off_mask_and_formula():
-    X = MaskedMatrix([[1.0, 2.0]], [[True, False]])
+def test_compute_weights_formula():
     model = MoALModel(weights=[0.5, 0.5], rates=[1.0, 2.0], asymmetries=[0.3, 0.8])
-    resid = np.array([-1.5])
-    gamma = np.array([[0.25, 0.75]])
-    W = em.compute_weights(X, gamma, model, resid)
-    assert W.shape == (1, 2)
-    assert W[0, 1] == 0.0
-    # sum_s lambda_s gamma_s rho_s with rho = 1-k on a negative residual
-    expect = 1.0 * 0.25 * 0.7 + 2.0 * 0.75 * 0.2
-    assert W[0, 0] == pytest.approx(expect, rel=1e-14)
+    resid = np.array([-1.5, 0.5])
+    gamma = np.array([[0.25, 0.75], [0.6, 0.4]])
+    w = em.compute_weights(gamma, model, resid)
+    assert w.shape == (2,)
+    # sum_s lambda_s gamma_s rho_s with rho = 1-k on a negative residual and
+    # rho = k on a nonnegative one
+    expect = [1.0 * 0.25 * 0.7 + 2.0 * 0.75 * 0.2, 1.0 * 0.6 * 0.3 + 2.0 * 0.4 * 0.8]
+    np.testing.assert_allclose(w, expect, rtol=1e-14)
 
 
 def test_prune_drops_components_that_never_win():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from aqmf import synth
+from aqmf import ald, synth
 from aqmf.metrics import sample_skewness
 from aqmf.synth import (
     SKEW_NORMAL_MIN_ASYMMETRY,
@@ -127,6 +127,15 @@ def test_mixture_noise_validation_and_sampling():
     xs = mix.sample(50_000, np.random.default_rng(7))
     # the wide component shows up at roughly its mixing rate
     assert np.mean(np.abs(xs) > 1.0) == pytest.approx(0.2, abs=0.01)
+    # a mixture of ALD specs draws exactly what ald.mixture_sample draws for
+    # the same model and seed
+    model = ald.MoALModel([0.2, 0.5, 0.3], [1.0, 2.0, 0.5], [0.3, 0.5, 0.8])
+    specs = MixtureNoise(tuple(
+        (w, AsymmetricLaplaceNoise(r, k))
+        for w, r, k in zip(model.weights, model.rates, model.asymmetries)
+    ))
+    assert np.array_equal(specs.sample(5_000, np.random.default_rng(7)),
+                          ald.mixture_sample(5_000, model, np.random.default_rng(7)))
 
 
 def test_noise_param_validation():
