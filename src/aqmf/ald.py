@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 
 @dataclass(frozen=True)
@@ -169,9 +168,31 @@ def mixture_logits(x, model: MoALModel) -> np.ndarray:
         return component_logpdfs(x, model) + np.log(model.weights)
 
 
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """Log-sum-exp of each row of the 2-D array ``a``.
+
+    This follows ``scipy.special.logsumexp(a, axis=1)`` of scipy 1.17 step
+    by step, so for real input it gives the same bits: the row maximum
+    ``top`` and the number ``count`` of entries equal to it are held out of
+    the sum, ``s`` is the sum of exp(a - top) over the other entries divided
+    by ``count``, and the result is log1p(s) + log(count) + top.  Matching
+    scipy's bits keeps the fit's output bytes equal to a scipy-based fit's
+    while the fit path imports numpy only.  A row of only -inf gives -inf,
+    where the formula gives nan.
+    """
+    top = a.max(axis=1, keepdims=True)
+    at_top = a == top
+    count = at_top.sum(axis=1, keepdims=True, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s = np.exp(np.where(at_top, -np.inf, a) - top).sum(axis=1, keepdims=True) / count
+        out = (np.log1p(s) + np.log(count) + top)[:, 0]
+    out[top[:, 0] == -np.inf] = -np.inf
+    return out
+
+
 def mixture_logpdf(x, model: MoALModel):
     """Log-density of the mixture, evaluated by log-sum-exp over components."""
-    out = logsumexp(mixture_logits(x, model), axis=1)
+    out = _logsumexp_rows(mixture_logits(x, model))
     return float(out[0]) if np.isscalar(x) else out
 
 

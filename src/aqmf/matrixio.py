@@ -99,7 +99,8 @@ def read_pgm(path) -> np.ndarray:
     """Load a binary PGM image as a float grid in [0, 1].
 
     Pixels are divided by the header's maxval, so any maxval in 1..255 maps
-    onto the same scale.
+    onto the same scale.  Raises :class:`ParseError` naming the first pixel,
+    in row-major order, whose value exceeds the maxval.
     """
     data = Path(path).read_bytes()
     magic, pos = _next_pgm_token(data, 0)
@@ -122,6 +123,11 @@ def read_pgm(path) -> np.ndarray:
     if len(payload) < width * height:
         raise ParseError(f"{path}: truncated pixel data")
     grid = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
+    if grid.max() > maxval:
+        r, c = divmod(int(np.argmax(grid > maxval)), width)
+        raise ParseError(
+            f"{path}: row {r + 1}, column {c + 1}: pixel {grid[r, c]} above maxval {maxval}"
+        )
     return grid.astype(float) / maxval
 
 

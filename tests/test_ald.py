@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from aqmf import ald
 from aqmf.ald import ALParams, MoALModel
@@ -172,8 +172,34 @@ def test_mixture_logpdf_zero_weight_component():
     # a zero weight must not poison the logsumexp with log(0)
     m = MoALModel(weights=[1.0, 0.0], rates=[1.0, 1.0], asymmetries=[0.5, 0.5])
     val = ald.mixture_logpdf(0.7, m)
+    assert type(val) is float
     assert np.isfinite(val)
     assert val == pytest.approx(ald.logpdf(0.7, ALParams(0.0, 1.0, 0.5)))
+
+
+@st.composite
+def _logit_rows(draw):
+    """Rows of 1-6 mixture logits: magnitudes 1e-3..1e3 of either sign, some
+    columns -inf (zero mixing weights), some rows all -inf, and some rows
+    whose maximum is tied across several columns."""
+    n = draw(st.integers(1, 8))
+    s = draw(st.integers(1, 6))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n * s, max_size=n * s))
+    mags = draw(st.lists(st.floats(1e-3, 1e3), min_size=n * s, max_size=n * s))
+    a = (np.array(signs) * np.array(mags)).reshape(n, s)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, s - 1)))):
+        a[i, j] = a[i].max()
+    a[:, draw(st.lists(st.booleans(), min_size=s, max_size=s))] = -np.inf
+    a[draw(st.lists(st.booleans(), min_size=n, max_size=n))] = -np.inf
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(_logit_rows())
+def test_logsumexp_rows_gives_scipys_bits(a):
+    ours = ald._logsumexp_rows(a)
+    assert ours.tobytes() == special.logsumexp(a, axis=1).tobytes()
+    assert (ours[np.isneginf(a).all(axis=1)] == -np.inf).all()
 
 
 def test_mixture_sample_moments():

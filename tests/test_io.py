@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from aqmf.cli import main
 from aqmf.matrixio import (
     ParseError,
     read_csv_matrix,
@@ -195,6 +196,19 @@ def test_pgm_rejects_wide_maxval(tmp_path):
     p.write_bytes(b"P5\n1 1\n65535\n\0\0")
     with pytest.raises(ParseError, match="unsupported maxval"):
         read_pgm(p)
+
+
+def test_pgm_rejects_pixel_above_maxval(tmp_path, capsys):
+    image = tmp_path / "img.pgm"
+    image.write_bytes(b"P5\n3 2\n100\n" + bytes([0, 100, 7, 50, 200, 255]))
+    message = "row 2, column 2: pixel 200 above maxval 100"
+    with pytest.raises(ParseError, match=message):
+        read_pgm(image)
+    rc = main(["inpaint", "--image", str(image), "--mask", str(image), "--rank", "1",
+               "--output", str(tmp_path / "out.pgm")])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.pgm").exists()
 
 
 def test_write_pgm_clamps_out_of_range(tmp_path):
