@@ -8,7 +8,7 @@ adaptively weighted L1 objective.
 
 from .ald import ALParams, MoALModel
 from .bench import BenchmarkConfig, BenchmarkResult, NOISE_ROWS, run_benchmark
-from .em import BaselineReport, FitOptions, FitReport, fit, fit_l1_baseline
+from .em import BaselineReport, FitOptions, FitReport, fit, fit_l1_baseline, fit_many
 from .matrixio import ParseError, read_csv_matrix, read_pgm, write_csv_matrix, write_pgm
 from .metrics import l1_error, l2_error, sample_skewness
 from .synth import (
@@ -47,6 +47,7 @@ __all__ = [
     "SyntheticInstance",
     "fit",
     "fit_l1_baseline",
+    "fit_many",
     "l1_error",
     "l2_error",
     "make_instance",

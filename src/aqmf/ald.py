@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .types import as_integer
+
 
 @dataclass(frozen=True)
 class ALParams:
@@ -99,6 +101,7 @@ def quantile(u, params: ALParams):
 
 def sample(n: int, params: ALParams, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` variates by inversion of the closed-form quantile."""
+    n = as_integer("sample size", n)
     if n < 0:
         raise ValueError("sample size must be nonnegative")
     u = rng.random(n)
@@ -139,7 +142,7 @@ class MoALModel:
             raise ValueError(f"mixing weights must sum to 1, got {w.sum()!r}")
         if (r <= 0).any() or not np.isfinite(r).all():
             raise ValueError("rates must be positive and finite")
-        if ((k <= 0) | (k >= 1)).any():
+        if not ((k > 0) & (k < 1)).all():
             raise ValueError("asymmetries must lie in (0, 1)")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "rates", r)
@@ -200,6 +203,7 @@ def draw_mixture(n: int, weights, draw, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` variates from a finite mixture: pick each variate's
     component by ``weights``, then fill the groups in component order, group
     s with ``draw(s, count)``, which returns ``count`` variates of component s."""
+    n = as_integer("sample size", n)
     if n < 0:
         raise ValueError("sample size must be nonnegative")
     idx = rng.choice(len(weights), size=n, p=weights)

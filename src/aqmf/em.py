@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ald
-from .types import FactorPair, MaskedMatrix, as_integer
-from .wl1 import solve_wl1
+from .types import FactorPair, MaskedMatrix, as_integer, as_seed
+from .wl1 import Stack, solve_wl1
 
 
 LAMBDA_MAX = 1e6
@@ -191,24 +191,115 @@ def prune_components(gamma: np.ndarray, model: ald.MoALModel):
     return pruned, g
 
 
-def _until_fixed_point(factors: FactorPair, step, max_iterations: int):
-    """Apply ``step`` to the factors until ||U||_F repeats exactly or
+def _until_fixed_point(factors: list, step, max_iterations: int):
+    """Step every problem until its ||U||_F repeats exactly or
     ``max_iterations`` steps have run.
 
-    This is the stopping rule of both :func:`fit` and
-    :func:`fit_l1_baseline`.  Returns the factors, the number of steps taken
-    and whether the norm repeated.
+    This is the stopping rule of both :func:`fit_many` and
+    :func:`fit_l1_baseline`.  ``factors`` lists each problem's starting
+    pair.  ``step(active, pairs)`` advances the problems numbered ``active``
+    from their current ``pairs`` and returns their new pairs.  A problem
+    leaves the active set at the step where its norm repeats.  Returns the
+    problems' factors, steps taken and whether the norm repeated.
     """
-    prev_norm = float(np.linalg.norm(factors.u))
-    steps = 0
-    while steps < max_iterations:
-        factors = step(factors)
-        steps += 1
-        norm = float(np.linalg.norm(factors.u))
-        if norm == prev_norm:
-            return factors, steps, True
-        prev_norm = norm
-    return factors, steps, False
+    factors = list(factors)
+    prev_norm = [float(np.linalg.norm(f.u)) for f in factors]
+    steps = [max_iterations] * len(factors)
+    converged = [False] * len(factors)
+    active = list(range(len(factors)))
+    taken = 0
+    while active and taken < max_iterations:
+        pairs = step(active, [factors[p] for p in active])
+        taken += 1
+        still = []
+        for p, pair in zip(active, pairs):
+            factors[p] = pair
+            norm = float(np.linalg.norm(pair.u))
+            if norm == prev_norm[p]:
+                steps[p], converged[p] = taken, True
+            else:
+                prev_norm[p] = norm
+                still.append(p)
+        active = still
+    return factors, steps, converged
+
+
+class _NoiseState:
+    """One problem's noise model, residuals and posteriors between factor
+    steps, with the log-likelihood trace they produce."""
+
+    def __init__(self, X: MaskedMatrix, model: ald.MoALModel, factors: FactorPair):
+        self.X = X
+        self.model = model
+        self.residuals = observed_residuals(X, factors)
+        self.gamma = _responsibilities(
+            self.residuals, model, ald.mixture_logpdf(self.residuals, model))
+        self.trace: list[float] = []
+
+    def refresh(self) -> np.ndarray:
+        """Closed-form mixture update and fresh posteriors; returns the
+        factor step's weights."""
+        resid, gamma = self.residuals, self.gamma
+        weights = update_pi(gamma)
+        rho = rho_matrix(resid, self.model.asymmetries)
+        rates = update_lambda(gamma, resid, rho)
+        asym = update_kappa(gamma, resid, rates)
+        self.model = ald.MoALModel(weights, rates, asym)
+        self.gamma = _responsibilities(resid, self.model, ald.mixture_logpdf(resid, self.model))
+        return compute_weights(self.gamma, self.model, resid)
+
+    def settle(self, factors: FactorPair):
+        """Posteriors and log-likelihood at the new factors, then pruning."""
+        self.residuals = observed_residuals(self.X, factors)
+        log_density = ald.mixture_logpdf(self.residuals, self.model)
+        self.gamma = _responsibilities(self.residuals, self.model, log_density)
+        self.trace.append(float(np.sum(log_density)))
+        self.model, self.gamma = prune_components(self.gamma, self.model)
+
+
+def fit_many(Xs, options: FitOptions, seeds) -> list:
+    """Fit P matrices of one shape at once; the same as P :func:`fit` calls.
+
+    ``Xs`` and ``seeds`` are sequences of equal, nonzero length.  Returns
+    one ``(factors, model, report)`` triple per matrix, in input order, with
+    the bits :func:`fit` gives for that matrix and seed.
+
+    The problems run in lock-step: each outer iteration takes every active
+    problem through its noise refresh, then one :func:`solve_wl1` call on a
+    :class:`wl1.Stack` of all of them, then its own posterior update and
+    pruning.  A problem leaves at the iteration where it reaches its fixed
+    point, and the next iteration's stack is this one's
+    :meth:`wl1.Stack.subset` without it.
+    """
+    Xs = list(Xs)
+    seeds = [as_seed("seed", s) for s in seeds]
+    if not Xs or len(seeds) != len(Xs):
+        raise ValueError(f"need one seed per matrix and at least one matrix, "
+                         f"got {len(Xs)} matrices and {len(seeds)} seeds")
+    stack, members = Stack(Xs), list(range(len(Xs)))
+    factors, states = [], []
+    for X, seed in zip(Xs, seeds):
+        rng = np.random.default_rng(seed)
+        factors.append(init_factors(X, options.rank, rng))
+        states.append(_NoiseState(X, init_model(options.components, rng), factors[-1]))
+
+    def em_iteration(active, pairs):
+        nonlocal stack, members
+        if active != members:
+            stack, members = stack.subset(np.searchsorted(members, active)), active
+        weights = np.concatenate([states[p].refresh() for p in active])
+        pairs = stack.split(solve_wl1(stack, weights, stack.join(pairs), INNER_SWEEPS))
+        for p, pair in zip(active, pairs):
+            states[p].settle(pair)
+        return pairs
+
+    factors, iterations, converged = _until_fixed_point(
+        factors, em_iteration, options.max_iterations
+    )
+    return [
+        (f, s.model, FitReport(iterations=i, loglik_trace=s.trace, converged=c, seed=seed))
+        for f, s, i, c, seed in zip(factors, states, iterations, converged, seeds)
+    ]
 
 
 def fit(
@@ -223,44 +314,13 @@ def fit(
     using the fresh rates), responsibilities are recomputed, the factors take
     a few weighted-median sweeps against the resulting weights, and
     responsibilities are refreshed again before the log-likelihood is
-    recorded and dead components are pruned.
+    recorded and dead components are pruned.  ``seed`` is a nonnegative
+    integer.
 
-    Returns the factor pair, the surviving noise model and a report.
+    Returns the factor pair, the surviving noise model and a report.  This
+    is :func:`fit_many` on one matrix.
     """
-    rng = np.random.default_rng(seed)
-    factors = init_factors(X, options.rank, rng)
-    model = init_model(options.components, rng)
-    residuals = observed_residuals(X, factors)
-    gamma = _responsibilities(residuals, model, ald.mixture_logpdf(residuals, model))
-    trace: list[float] = []
-
-    def em_iteration(factors: FactorPair) -> FactorPair:
-        nonlocal model, gamma, residuals
-        weights = update_pi(gamma)
-        rho = rho_matrix(residuals, model.asymmetries)
-        rates = update_lambda(gamma, residuals, rho)
-        asym = update_kappa(gamma, residuals, rates)
-        model = ald.MoALModel(weights, rates, asym)
-        gamma = _responsibilities(residuals, model, ald.mixture_logpdf(residuals, model))
-        w = compute_weights(gamma, model, residuals)
-        factors = solve_wl1(X, w, factors, INNER_SWEEPS)
-        residuals = observed_residuals(X, factors)
-        log_density = ald.mixture_logpdf(residuals, model)
-        gamma = _responsibilities(residuals, model, log_density)
-        trace.append(float(np.sum(log_density)))
-        model, gamma = prune_components(gamma, model)
-        return factors
-
-    factors, iterations, converged = _until_fixed_point(
-        factors, em_iteration, options.max_iterations
-    )
-    report = FitReport(
-        iterations=iterations,
-        loglik_trace=trace,
-        converged=converged,
-        seed=seed,
-    )
-    return factors, model, report
+    return fit_many([X], options, [seed])[0]
 
 
 def fit_l1_baseline(
@@ -274,16 +334,19 @@ def fit_l1_baseline(
     Shares the factor initialization of :func:`fit` (identical draws for the
     same seed) and its stopping rule, one weighted-median sweep per step, so
     results are directly comparable against the mixture-weighted method.
-    ``rank`` and ``max_sweeps`` must be integers, as in :class:`FitOptions`.
+    ``rank`` and ``max_sweeps`` must be integers, as in :class:`FitOptions`,
+    and ``seed`` a nonnegative integer.
     """
     rank = as_integer("rank", rank)
     max_sweeps = as_integer("max_sweeps", max_sweeps)
+    seed = as_seed("seed", seed)
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be at least 1")
     rng = np.random.default_rng(seed)
     factors = init_factors(X, rank, rng)
+    stack = Stack([X])
     w = np.ones(X.n_observed)
-    factors, sweeps, converged = _until_fixed_point(
-        factors, lambda f: solve_wl1(X, w, f, max_sweeps=1), max_sweeps
+    (factors,), (sweeps,), (converged,) = _until_fixed_point(
+        [factors], lambda _, pairs: [solve_wl1(stack, w, pairs[0], max_sweeps=1)], max_sweeps
     )
     return factors, BaselineReport(sweeps=sweeps, converged=converged, seed=seed)

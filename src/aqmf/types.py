@@ -1,4 +1,4 @@
-"""Array containers and the integer check shared by the library's modules."""
+"""Array containers and the integer checks shared by the library's modules."""
 
 from __future__ import annotations
 
@@ -17,6 +17,16 @@ def as_integer(name: str, value) -> int:
         except TypeError:
             pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def as_seed(name: str, value) -> int:
+    """``value`` as an ``int`` if it is a nonnegative integer, as
+    ``numpy.random`` seeds must be; anything else raises ``ValueError``
+    naming ``name``."""
+    value = as_integer(name, value)
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+    return value
 
 
 def _as_float_matrix(a, name: str) -> np.ndarray:

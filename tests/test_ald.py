@@ -113,6 +113,17 @@ def test_sampler_left_mass_and_distribution():
     assert pval > 1e-4
 
 
+@pytest.mark.parametrize("size", [2.5, 2.0, True])
+def test_samplers_take_an_integer_size(size):
+    # a float size used to end in a numpy TypeError
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="sample size must be an integer"):
+        ald.sample(size, ALParams(0.0, 1.0, 0.3), rng)
+    with pytest.raises(ValueError, match="sample size must be an integer"):
+        ald.draw_mixture(size, [1.0], lambda s, count: np.zeros(count), rng)
+    assert ald.sample(np.int64(3), ALParams(0.0, 1.0, 0.3), rng).shape == (3,)
+
+
 def test_sampler_reproducible():
     p = ALParams(0.0, 1.0, 0.3)
     a = ald.sample(100, p, np.random.default_rng(5))
@@ -131,6 +142,10 @@ def test_moal_validation():
         MoALModel(weights=[0.5, 0.5], rates=[1.0, -1.0], asymmetries=[0.5, 0.5])
     with pytest.raises(ValueError):
         MoALModel(weights=[0.5, 0.5], rates=[1.0, 1.0], asymmetries=[0.5, 1.5])
+    # NaN fails every comparison, so a range test written as "outside (0, 1)"
+    # let it through
+    with pytest.raises(ValueError, match=r"asymmetries must lie in \(0, 1\)"):
+        MoALModel([1.0], [1.0], [np.nan])
     m = MoALModel(weights=[0.25, 0.75], rates=[1.0, 2.0], asymmetries=[0.3, 0.6])
     assert m.n_components == 2
 

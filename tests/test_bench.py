@@ -47,6 +47,9 @@ def test_config_validation():
         BenchmarkConfig(missing_fraction=1.5)
     with pytest.raises(ValueError):
         BenchmarkConfig(ranks=())
+    # a negative master seed used to pass here and fail only when the grid ran
+    with pytest.raises(ValueError, match="master_seed must be nonnegative"):
+        BenchmarkConfig(master_seed=-1)
     # numpy integers pass and are stored as int, so the result JSON can hold them
     cfg = BenchmarkConfig(m=np.int64(12), ranks=[np.int32(2)], missing_fraction=np.float32(0.5))
     assert type(cfg.m) is int and type(cfg.ranks[0]) is int and cfg.ranks == (2,)
@@ -121,6 +124,13 @@ def test_timing_sidecar(tiny_result):
     assert payload["schema"] == "aqmf-benchmark-timing/1"
     assert all(r["seconds"] > 0 for r in payload["records"])
     assert len(payload["aggregates"]) == 4
+
+
+def test_stacked_aq_fits_share_their_stack_time(tiny_result):
+    # one rank's aq fits run as one stack, each credited with an equal share
+    # of its wall time; the baseline fits are timed one by one
+    seconds = {r.seconds for r in tiny_result.records if r.method == "aq"}
+    assert len(seconds) == 1 and seconds.pop() > 0
 
 
 def test_rerun_reproduces_error_fields():

@@ -91,6 +91,16 @@ def test_fit_max_iters_is_an_integer_budget(small_csv, tmp_path, capsys, method,
         assert not report.exists()
 
 
+@pytest.mark.parametrize("method", ["aq", "cwm"])
+def test_fit_negative_seed_exits_1_naming_the_seed(small_csv, tmp_path, capsys, method):
+    report = tmp_path / "r.json"
+    rc = main(["fit", "--input", str(small_csv), "--rank", "2", "--method", method,
+               "--seed", "-1", "--report", str(report)])
+    assert rc == 1
+    assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_fit_deterministic_given_seed(small_csv, tmp_path):
     outs = []
     for name in ("a.json", "b.json"):
@@ -253,6 +263,7 @@ def test_synth_bench_flag_overrides_config(tmp_path, flag, text, field, value):
     pytest.param({"noise_rows": "laplace"}, id="noise_rows-str"),
     pytest.param({"ranks": [4.7]}, id="ranks-float-entry"),
     pytest.param({"max_iterations": True}, id="max_iterations-bool"),
+    pytest.param({"master_seed": -1}, id="master_seed-negative"),
 ])
 def test_synth_bench_rejects_mistyped_config_field(tmp_path, capsys, probe):
     cfg = tmp_path / "cfg.json"

@@ -8,7 +8,7 @@ import pytest
 from aqmf import ald, em
 from aqmf.ald import ALParams, MoALModel
 from aqmf.em import FitOptions
-from aqmf.synth import AsymmetricLaplaceNoise, make_instance
+from aqmf.synth import AsymmetricLaplaceNoise, GaussianNoise, LaplaceNoise, make_instance
 from aqmf.types import FactorPair, MaskedMatrix
 from oracles import observed_loglik
 
@@ -311,3 +311,61 @@ def test_baseline_rejects_non_integer_rank_or_budget(rank, max_sweeps):
     X = make_instance(15, 10, 1, 0.0, None, seed=6).observed
     with pytest.raises(ValueError, match="must be an integer"):
         em.fit_l1_baseline(X, rank, max_sweeps=max_sweeps)
+
+
+def _fit_bits(factors, model, report):
+    return (factors.u.tobytes(), factors.v.tobytes(), model.weights.tobytes(),
+            model.rates.tobytes(), model.asymmetries.tobytes(), report.loglik_trace,
+            report.iterations, report.converged, report.seed)
+
+
+def test_fit_many_gives_the_bits_of_separate_fits():
+    # Ten 12x8 problems: some reach their fixed point after 5 to 35
+    # iterations and leave the stack early, others run the whole budget, and
+    # pruning leaves them with one to three components.
+    noises = [None, LaplaceNoise(0.0, 0.5), AsymmetricLaplaceNoise(1.0, 0.7),
+              GaussianNoise(1.0), LaplaceNoise(0.0, 2.0)]
+    Xs, seeds = [], []
+    for seed in (0, 1):
+        for noise in noises:
+            Xs.append(make_instance(12, 8, 2, 0.2, noise, seed=seed).observed)
+            seeds.append(seed)
+    opts = FitOptions(rank=2, max_iterations=40)
+    together = em.fit_many(Xs, opts, seeds)
+    alone = [em.fit(X, opts, seed=s) for X, s in zip(Xs, seeds)]
+    assert [_fit_bits(*a) for a in together] == [_fit_bits(*a) for a in alone]
+    reports = [r for _, _, r in alone]
+    assert len({r.iterations for r in reports}) >= 5
+    assert {r.converged for r in reports} == {True, False}
+    assert len({model.n_components for _, model, _ in alone}) >= 3
+
+
+def test_fit_many_rejects_mismatched_inputs():
+    X = make_instance(10, 8, 1, 0.0, None, seed=3).observed
+    opts = FitOptions(rank=1, max_iterations=2)
+    with pytest.raises(ValueError, match="one seed per matrix"):
+        em.fit_many([X, X], opts, [0])
+    with pytest.raises(ValueError, match="at least one matrix"):
+        em.fit_many([], opts, [])
+    Y = make_instance(8, 10, 1, 0.0, None, seed=3).observed
+    with pytest.raises(ValueError, match="one shape"):
+        em.fit_many([X, Y], opts, [0, 1])
+
+
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be nonnegative, got -1"),
+    (1.5, "seed must be an integer"),
+    (True, "seed must be an integer"),
+])
+def test_fits_check_seeds_up_front(seed, message):
+    # a negative seed used to fail inside numpy with a message naming no field
+    X = make_instance(10, 8, 1, 0.0, None, seed=3).observed
+    opts = FitOptions(rank=1, max_iterations=2)
+    with pytest.raises(ValueError, match=message):
+        em.fit(X, opts, seed=seed)
+    with pytest.raises(ValueError, match=message):
+        em.fit_many([X, X], opts, [0, seed])
+    with pytest.raises(ValueError, match=message):
+        em.fit_l1_baseline(X, 1, seed=seed)
+    _, _, report = em.fit(X, opts, seed=np.uint64(2**63))
+    assert report.seed == 2**63 and type(report.seed) is int

@@ -221,3 +221,99 @@ def test_zero_weight_row_freezes_factor():
     factors = FactorPair(np.array([[0.5], [7.25]]), np.array([[1.0], [1.0]]))
     out = solve_wl1(X, W[X.mask], factors, max_sweeps=3)
     assert out.u[1, 0] == 7.25
+
+
+def test_rejects_factors_of_the_wrong_shape():
+    X = MaskedMatrix.fully_observed(np.ones((4, 3)))
+    with pytest.raises(ValueError, match=r"4x3 matrix .* u \(4, 2\) and v \(3, 2\), got u "
+                                         r"\(4, 2\) and v \(5, 2\)"):
+        solve_wl1(X, np.ones(12), FactorPair(np.ones((4, 2)), np.ones((5, 2))))
+    stack = wl1.Stack([X, X])
+    with pytest.raises(ValueError, match=r"stack of 2 4x3 matrices .* u \(8, 2\) and v \(6, 2\)"):
+        solve_wl1(stack, np.ones(24), FactorPair(np.ones((4, 2)), np.ones((3, 2))))
+    with pytest.raises(ValueError, match=r"shape \(24,\)"):
+        solve_wl1(stack, np.ones(12), FactorPair(np.ones((8, 2)), np.ones((6, 2))))
+
+
+def test_stack_rejects_mixed_shapes_and_no_problems():
+    with pytest.raises(ValueError, match="one shape"):
+        wl1.Stack([MaskedMatrix.fully_observed(np.ones((4, 3))),
+                   MaskedMatrix.fully_observed(np.ones((3, 4)))])
+    with pytest.raises(ValueError, match="at least one problem"):
+        wl1.Stack([])
+
+
+def _stack_problem(rng, m, n, rank, noise, traits=()):
+    """A solve_wl1 problem (X, weights, start).  Unobserved entries hold NaN,
+    which padding slots read and must never use."""
+    u = rng.normal(size=(m, rank))
+    v = rng.normal(size=(n, rank))
+    mask = rng.random((m, n)) >= (0.6 if "sparse" in traits else 0.2)
+    if "dead row" in traits:
+        mask[rng.integers(m)] = False
+    if "dead column" in traits:
+        mask[:, rng.integers(n)] = False
+    if not mask.any():
+        mask[rng.integers(m), rng.integers(n)] = True
+    data = u @ v.T + rng.laplace(scale=noise, size=(m, n))
+    X = MaskedMatrix(np.where(mask, data, np.nan), mask)
+    w = rng.uniform(0.1, 2.0, size=X.n_observed)
+    if "zero weights" in traits:
+        w[rng.random(w.size) < 0.5] = 0.0
+    if noise == 0.0:
+        start = FactorPair(u, v)  # already optimal: stops after one sweep
+    else:
+        start = FactorPair(rng.normal(size=(m, rank)), rng.normal(size=(n, rank)))
+    return X, w, start
+
+
+def _solve_stacked(problems, sweeps):
+    stack = wl1.Stack([X for X, _, _ in problems])
+    out = solve_wl1(stack, np.concatenate([w for _, w, _ in problems]),
+                    stack.join([f for _, _, f in problems]), sweeps)
+    return stack.split(out)
+
+
+def _same_bits(a: FactorPair, b: FactorPair) -> bool:
+    return a.u.tobytes() == b.u.tobytes() and a.v.tobytes() == b.v.tobytes()
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_stack_solve_gives_the_bits_of_separate_solves(data):
+    # Values come from a seeded generator, so candidates do not tie and the
+    # extra zero-weight padding of a stack (up to the widest row of any
+    # problem) cannot move a pick.  Exact starts stop after one sweep and
+    # the noise scale spreads the other problems' stopping sweeps.
+    m = data.draw(st.integers(min_value=1, max_value=8))
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    rank = data.draw(st.integers(min_value=1, max_value=3))
+    sweeps = data.draw(st.integers(min_value=1, max_value=6))
+    traits = st.lists(st.sampled_from(["dead row", "dead column", "zero weights", "sparse"]),
+                      unique=True)
+    problems = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        noise = data.draw(st.sampled_from([0.0, 0.01, 0.3, 3.0]))
+        problems.append(_stack_problem(rng, m, n, rank, noise, data.draw(traits)))
+    stacked = _solve_stacked(problems, sweeps)
+    for (X, w, start), got in zip(problems, stacked):
+        assert _same_bits(got, solve_wl1(X, w, start, sweeps))
+
+
+def _stopping_sweep(X, w, start, budget):
+    """The first sweep count whose solve equals the full-budget solve."""
+    final = solve_wl1(X, w, start, budget)
+    return next(k for k in range(1, budget + 1)
+                if _same_bits(solve_wl1(X, w, start, k), final))
+
+
+def test_stack_problems_stop_at_their_own_sweeps():
+    rng = np.random.default_rng(11)
+    problems = [_stack_problem(rng, 9, 7, 2, noise, traits)
+                for noise, traits in [(0.0, ()), (0.01, ("dead row",)), (0.3, ()),
+                                      (3.0, ("zero weights", "dead column")), (0.3, ("sparse",))]]
+    stops = [_stopping_sweep(X, w, f, 10) for X, w, f in problems]
+    assert stops[0] == 1 and len(set(stops)) >= 3, stops
+    for (X, w, start), got in zip(problems, _solve_stacked(problems, 10)):
+        assert _same_bits(got, solve_wl1(X, w, start, 10))
